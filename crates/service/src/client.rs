@@ -23,13 +23,17 @@ fn io_invalid(message: impl std::fmt::Display) -> std::io::Error {
 }
 
 impl Client {
-    /// Connects to the daemon at `addr`.
+    /// Connects to the daemon at `addr`, with Nagle's algorithm off
+    /// (`TCP_NODELAY`, as the daemon sets on its side): a plan is one
+    /// write, and its last partial segment must not wait for the
+    /// daemon's delayed ACK.
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Client { reader: BufReader::new(stream.try_clone()?), writer: BufWriter::new(stream) })
     }
 

@@ -2,15 +2,17 @@
 //! nine benchmarks, with trace caching (in memory and on disk) and
 //! pooled parallel execution.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use tlabp_core::config::SchemeConfig;
 use tlabp_trace::io::{
-    chunk_bytes_from_env, read_artifacts, write_artifacts_chunked, write_file_atomic,
-    ChunkedArtifact, FileLock, ARTIFACT_VERSION, ARTIFACT_VERSION_CHUNKED,
+    chunk_bytes_from_env, encode_section, read_artifacts, validate_section, walk_artifact,
+    write_artifact_atomic, ArtifactForm, ChunkedArtifact, FileLock, SectionTag, ARTIFACT_VERSION,
+    ARTIFACT_VERSION_CHUNKED,
 };
 use tlabp_trace::{InternedConds, PackedCond, PatternStream, Trace};
 use tlabp_workloads::{Benchmark, DataSet};
@@ -50,7 +52,8 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// (falling back to the v2-named file an older build left behind)
 /// without running the VM; whenever a getter actually generates or
 /// derives something new, the slot is re-written atomically (temp file +
-/// rename). File names carry the container version and the
+/// rename), copying the sections already on disk and encoding only the
+/// new ones. File names carry the container version and the
 /// workload-codegen fingerprint ([`Benchmark::fingerprint`]), so stale
 /// artifacts from an older format or an edited workload generator are
 /// simply never opened. A file that exists but fails its checksum or
@@ -84,10 +87,11 @@ struct TraceSlot {
     // behind its own OnceLock, exactly like the three fixed forms above.
     streams: Mutex<HashMap<StreamKey, Arc<OnceLock<Arc<PatternStream>>>>>,
     // Disk-tier state: the workload fingerprint (computed once), a
-    // hydration gate so the artifact file is read at most once per slot,
-    // and a write lock serializing re-persists of this slot.
+    // hydration gate so the artifact file is read at most once per slot
+    // (holding whether the file, if any, decoded cleanly), and a write
+    // lock serializing re-persists of this slot.
     fingerprint: OnceLock<u64>,
-    hydrated: OnceLock<()>,
+    hydrated: OnceLock<bool>,
     write_lock: Mutex<()>,
 }
 
@@ -150,12 +154,13 @@ impl DiskTier {
 
     /// Fills whatever forms the slot's artifact file holds. Missing file
     /// is a plain miss; a present-but-unreadable file warns and behaves
-    /// as a miss (the next persist overwrites it).
-    fn hydrate(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) {
+    /// as a miss (the next persist overwrites it). Returns `false` only
+    /// for that unreadable file.
+    fn hydrate(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) -> bool {
         let fingerprint = *slot.fingerprint.get_or_init(|| benchmark.fingerprint(data_set));
         let Some((path, bytes)) = self.read_slot_bytes(benchmark.name(), data_set, fingerprint)
         else {
-            return;
+            return true;
         };
         let bundle = match read_artifacts(&bytes) {
             Ok(bundle) => bundle,
@@ -164,11 +169,11 @@ impl DiskTier {
                     "warning: ignoring corrupt trace artifact {} ({err}); regenerating",
                     path.display()
                 );
-                return;
+                return false;
             }
         };
         if bundle.fingerprint != fingerprint {
-            return;
+            return true;
         }
         if let Some(trace) = bundle.trace {
             let _ = slot.trace.set(Arc::new(trace));
@@ -186,12 +191,41 @@ impl DiskTier {
             let Some(key) = StreamKey::from_bytes(&key_bytes) else { continue };
             let _ = streams.entry(key).or_default().set(Arc::new(stream));
         }
+        true
     }
 
     /// Atomically rewrites the slot's artifact file with every form
-    /// currently materialized. I/O failures warn and leave the previous
-    /// file (if any) intact — persistence is an accelerator, never a
-    /// correctness dependency.
+    /// currently materialized, writing only what is new. I/O failures
+    /// warn and leave the previous file (if any) intact — persistence is
+    /// an accelerator, never a correctness dependency.
+    ///
+    /// # Splicing
+    ///
+    /// A v3 section is self-contained, so the rewrite is assembled from
+    /// sections rather than re-encoded whole. Under the locks below, the
+    /// current v3 file is read once and walked ([`walk_artifact`]): every
+    /// head and chunk checksum is verified, and no payload is decoded.
+    ///
+    /// * A form this store holds whose section is on disk and verified is
+    ///   **spliced**: its bytes are copied, not decoded or re-encoded.
+    /// * A form this store holds with no verified section on disk — new,
+    ///   or its section failed a checksum — is **encoded** from memory.
+    ///   So are all of them when the slot's hydration rejected the file
+    ///   as corrupt: a file that failed to decode lends no bytes to its
+    ///   repair. Bad bytes are never spliced.
+    /// * A verified section this store does not hold (**foreign**: a
+    ///   concurrent writer put it there) is decoded once to validate it
+    ///   ([`validate_section`]) and then carried as bytes; one that fails
+    ///   is dropped.
+    ///
+    /// Sections are written in the container order — trace, packed,
+    /// interned, then streams sorted by key — so when every section was
+    /// written at the current chunk budget the file equals one
+    /// [`tlabp_trace::io::write_artifacts_chunked`] call over the same
+    /// forms, and re-persists of identical content are byte-identical. A
+    /// spliced section keeps the chunk budget it was written with.
+    /// Only the v3-named file is read: a v2-named file was already loaded
+    /// into the slot by hydration, which precedes any persist.
     ///
     /// # Concurrent writers
     ///
@@ -207,14 +241,9 @@ impl DiskTier {
     ///   within [`LOCK_WAIT_MILLIS`] proceeds anyway with a warning —
     ///   the atomic rename below means the worst outcome is last writer
     ///   wins, never a torn file.
-    /// * **merge-on-persist**: under the lock, the current artifact is
-    ///   re-read and any sections it has that this store has not
-    ///   materialized (a trace form, disk-only pattern streams) are
-    ///   carried into the rewrite. Without this, two clients deriving
-    ///   *different* streams for the same trace would each overwrite the
-    ///   other's work; with it, the artifact converges to the union.
-    ///   In-memory forms win on conflict — they are what this store
-    ///   measured with.
+    /// * **union on persist**: because foreign sections are carried, two
+    ///   clients deriving *different* streams for the same trace do not
+    ///   overwrite each other's work; the artifact converges to the union.
     ///
     /// Readers need no lock at all: hydration re-validates every section
     /// checksum on open and treats a torn or corrupt file as a miss.
@@ -233,44 +262,43 @@ impl DiskTier {
         let path = self.path_for(benchmark.name(), data_set, fingerprint);
         let _file_lock = self.lock_artifact(&path);
 
-        // Merge: keep sections a concurrent writer (or an earlier run)
-        // already persisted that this store never materialized — the
-        // v2-named fallback included, so an in-place upgrade carries an
-        // old cache's streams into the first v3 rewrite.
-        let existing = self
-            .read_slot_bytes(benchmark.name(), data_set, fingerprint)
-            .and_then(|(_, bytes)| read_artifacts(&bytes).ok())
-            .filter(|bundle| bundle.fingerprint == fingerprint);
-        let merged_trace: Option<&Trace> =
-            trace.as_deref().or(existing.as_ref().and_then(|b| b.trace.as_ref()));
-        let merged_packed: Option<&[PackedCond]> = packed
+        // The verified sections of the current file, by tag.
+        let existing = fs::read(&path).unwrap_or_default();
+        let layout = walk_artifact(&existing).ok().filter(|l| l.fingerprint == fingerprint);
+        let mut on_disk: BTreeMap<SectionTag, &[u8]> = BTreeMap::new();
+        for (tag, range) in layout.into_iter().flat_map(|l| l.sections) {
+            on_disk.entry(tag).or_insert(&existing[range]);
+        }
+        // A file hydration rejected lends no bytes to its own repair.
+        let splice_own = slot.hydrated.get() != Some(&false);
+        let chunk_bytes = chunk_bytes_from_env();
+
+        let forms = trace
             .as_deref()
-            .map(Vec::as_slice)
-            .or(existing.as_ref().and_then(|b| b.packed.as_deref()));
-        let merged_interned: Option<&InternedConds> =
-            interned.as_deref().or(existing.as_ref().and_then(|b| b.interned.as_ref()));
-        let mut refs: Vec<(Vec<u8>, &PatternStream)> =
-            streams.iter().map(|(key, stream)| (key.clone(), stream.as_ref())).collect();
-        if let Some(bundle) = &existing {
-            for (key, stream) in &bundle.streams {
-                if !refs.iter().any(|(have, _)| have == key) {
-                    refs.push((key.clone(), stream));
-                }
+            .map(ArtifactForm::Trace)
+            .into_iter()
+            .chain(packed.as_deref().map(|p| ArtifactForm::Packed(p)))
+            .chain(interned.as_deref().map(ArtifactForm::Interned))
+            .chain(streams.iter().map(|(key, stream)| ArtifactForm::Stream(key, stream)));
+        // Held forms are spliced or encoded; what remains on disk is
+        // foreign and carried only if it decodes.
+        let mut sections: BTreeMap<SectionTag, Cow<'_, [u8]>> = BTreeMap::new();
+        for form in forms {
+            let tag = form.tag();
+            let bytes = match on_disk.remove(&tag) {
+                Some(bytes) if splice_own => Cow::Borrowed(bytes),
+                _ => Cow::Owned(encode_section(form, chunk_bytes)),
+            };
+            sections.insert(tag, bytes);
+        }
+        for (tag, bytes) in on_disk {
+            if validate_section(bytes).is_ok() {
+                sections.insert(tag, Cow::Borrowed(bytes));
             }
         }
-        // Deterministic section order keeps repeated persists of the same
-        // content byte-identical.
-        refs.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let bytes = write_artifacts_chunked(
-            fingerprint,
-            merged_trace,
-            merged_packed,
-            merged_interned,
-            &refs,
-            chunk_bytes_from_env(),
-        );
-        if let Err(err) = self.write_atomic(&path, &bytes) {
+        let parts: Vec<&[u8]> = sections.values().map(AsRef::as_ref).collect();
+        if let Err(err) = write_artifact_atomic(&path, fingerprint, &parts) {
             eprintln!("warning: failed to write trace artifact {} ({err})", path.display());
         }
     }
@@ -291,12 +319,6 @@ impl DiskTier {
             std::time::Duration::from_millis(LOCK_WAIT_MILLIS),
             std::time::Duration::from_secs(LOCK_STALE_SECS),
         )
-    }
-
-    /// Writes via a unique temp file in the same directory, then renames
-    /// over the target, so readers only ever observe complete files.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        write_file_atomic(path, bytes)
     }
 
     /// Total size of the artifact files currently in the cache directory.

@@ -75,6 +75,14 @@
 //! hydrated section. [`read_artifacts`] accepts v2 and v3 containers;
 //! new files are written as v3 while existing v2 files keep reading.
 //!
+//! Every v3 section is self-contained, so a container is just
+//! [`artifact_header`] followed by sections, each produced by
+//! [`encode_section`]. [`walk_artifact`] finds each section's
+//! [`SectionTag`] and byte range and verifies every checksum without
+//! decoding a payload, which lets a writer that adds one section copy
+//! the verified bytes of the others ([`write_artifact_atomic`]) instead
+//! of decoding and re-encoding the whole file.
+//!
 //! A third format, the **memo artifact** (`b"TLBM"`, [`write_memo`] /
 //! [`read_memo`]), stores one memoized service response — the canonical
 //! plan JSON plus its pre-encoded result-frame payloads — with the same
@@ -307,14 +315,8 @@ fn encode_event(buf: &mut Vec<u8>, event: &TraceEvent) {
 /// buffer is truncated, an event tag is unknown, or events are not ordered
 /// by instruction count.
 pub fn read_trace(bytes: &[u8]) -> Result<Trace, ReadTraceError> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    if cur.remaining() < 4 || &bytes[..4] != MAGIC {
-        let mut found = [0u8; 4];
-        let n = cur.remaining().min(4);
-        found[..n].copy_from_slice(&bytes[..n]);
-        return Err(ReadTraceError::BadMagic { found });
-    }
-    cur.pos = 4;
+    expect_magic(bytes, MAGIC)?;
+    let mut cur = Cursor { bytes, pos: 4 };
     if cur.remaining() < 2 {
         return Err(ReadTraceError::Truncated { at_event: 0 });
     }
@@ -370,6 +372,17 @@ fn decode_events(cur: &mut Cursor<'_>, count: u64, total: u64) -> Result<Trace, 
         trace.set_total_instructions(total);
     }
     Ok(trace)
+}
+
+/// Checks that `bytes` starts with the 4-byte file `magic`.
+fn expect_magic(bytes: &[u8], magic: &[u8; 4]) -> Result<(), ReadTraceError> {
+    if bytes.starts_with(magic) {
+        return Ok(());
+    }
+    let mut found = [0u8; 4];
+    let n = bytes.len().min(4);
+    found[..n].copy_from_slice(&bytes[..n]);
+    Err(ReadTraceError::BadMagic { found })
 }
 
 /// A checksum over `bytes`: the in-tree FxHash word fold (rotate, xor,
@@ -508,14 +521,8 @@ fn push_section(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
 /// fails the structural validation of its form. An `Err` means the file
 /// proves nothing — callers fall back to regeneration.
 pub fn read_artifacts(bytes: &[u8]) -> Result<ArtifactBundle, ReadTraceError> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    if cur.remaining() < 4 || &bytes[..4] != MAGIC {
-        let mut found = [0u8; 4];
-        let n = cur.remaining().min(4);
-        found[..n].copy_from_slice(&bytes[..n]);
-        return Err(ReadTraceError::BadMagic { found });
-    }
-    cur.pos = 4;
+    expect_magic(bytes, MAGIC)?;
+    let mut cur = Cursor { bytes, pos: 4 };
     if cur.remaining() < 2 {
         return Err(ReadTraceError::Truncated { at_event: 0 });
     }
@@ -1009,12 +1016,144 @@ mod meta {
     }
 }
 
+/// One form to encode as a v3 section ([`encode_section`]): the four
+/// section kinds of the artifact container, borrowed from the caller.
+#[derive(Debug, Clone, Copy)]
+pub enum ArtifactForm<'a> {
+    /// The raw event trace.
+    Trace(&'a Trace),
+    /// The packed conditional-branch stream.
+    Packed(&'a [PackedCond]),
+    /// The pc-interned conditional stream.
+    Interned(&'a InternedConds),
+    /// A first-level pattern stream under its opaque key bytes.
+    Stream(&'a [u8], &'a PatternStream),
+}
+
+impl ArtifactForm<'_> {
+    /// The tag [`walk_artifact`] reports for this form's section.
+    #[must_use]
+    pub fn tag(&self) -> SectionTag {
+        match self {
+            ArtifactForm::Trace(_) => SectionTag::Trace,
+            ArtifactForm::Packed(_) => SectionTag::Packed,
+            ArtifactForm::Interned(_) => SectionTag::Interned,
+            ArtifactForm::Stream(key, _) => SectionTag::Stream(key.to_vec()),
+        }
+    }
+}
+
+/// Identity of one v3 section. The derived order is the container's
+/// section order — trace, packed, interned, then streams sorted by key
+/// bytes — so a sorted set of sections assembles into exactly the bytes
+/// [`write_artifacts_chunked`] writes for the same forms.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SectionTag {
+    /// The raw event trace.
+    Trace,
+    /// The packed conditional-branch stream.
+    Packed,
+    /// The pc-interned conditional stream.
+    Interned,
+    /// A pattern stream, tagged by its opaque key bytes.
+    Stream(Vec<u8>),
+}
+
+impl SectionTag {
+    /// The tag of a section with this kind and metadata; `None` for an
+    /// unknown kind or unparseable stream metadata.
+    fn of(kind: u8, meta: &[u8]) -> Option<SectionTag> {
+        match kind {
+            section::TRACE => Some(SectionTag::Trace),
+            section::PACKED => Some(SectionTag::Packed),
+            section::INTERNED => Some(SectionTag::Interned),
+            section::STREAM => meta::parse_stream(meta).map(|(key, ..)| SectionTag::Stream(key)),
+            _ => None,
+        }
+    }
+}
+
+/// The 18-byte v3 container header: magic, version, fingerprint and
+/// section count. A header followed by that many [`encode_section`]
+/// outputs is a complete container.
+#[must_use]
+pub fn artifact_header(fingerprint: u64, sections: usize) -> [u8; 18] {
+    let mut header = [0u8; 18];
+    header[..4].copy_from_slice(MAGIC);
+    header[4..6].copy_from_slice(&ARTIFACT_VERSION_CHUNKED.to_le_bytes());
+    header[6..14].copy_from_slice(&fingerprint.to_le_bytes());
+    header[14..]
+        .copy_from_slice(&u32::try_from(sections).expect("section count fits u32").to_le_bytes());
+    header
+}
+
+/// Encodes one self-contained v3 section (head, chunk table, head
+/// checksum, chunk payloads) for `form` under a `chunk_bytes` budget.
+#[must_use]
+pub fn encode_section(form: ArtifactForm<'_>, chunk_bytes: usize) -> Vec<u8> {
+    let mut buf = Vec::new();
+    push_form_section(&mut buf, form, chunk_bytes);
+    buf
+}
+
+/// Appends the v3 section for `form` — the per-kind encoder behind
+/// [`encode_section`] and [`write_artifacts_chunked`].
+fn push_form_section(buf: &mut Vec<u8>, form: ArtifactForm<'_>, chunk_bytes: usize) {
+    let chunk_bytes = chunk_bytes.max(1);
+    match form {
+        ArtifactForm::Trace(trace) => {
+            let per = items_per_chunk(section::TRACE, false, chunk_bytes);
+            let chunks: Vec<(u64, Vec<u8>)> = chunk_ranges(trace.len(), per)
+                .into_iter()
+                .map(|r| (r.len() as u64, encode_trace_chunk(&trace.events()[r])))
+                .collect();
+            let meta = meta::trace(trace.len() as u64, trace.total_instructions());
+            push_chunked_section(buf, section::TRACE, &meta, &chunks);
+        }
+        ArtifactForm::Packed(packed) => {
+            let per = items_per_chunk(section::PACKED, false, chunk_bytes);
+            let chunks: Vec<(u64, Vec<u8>)> = chunk_ranges(packed.len(), per)
+                .into_iter()
+                .map(|r| (r.len() as u64, encode_packed_chunk(&packed[r])))
+                .collect();
+            push_chunked_section(buf, section::PACKED, &meta::packed(packed.len() as u64), &chunks);
+        }
+        ArtifactForm::Interned(interned) => {
+            let per = items_per_chunk(section::INTERNED, false, chunk_bytes);
+            let chunks: Vec<(u64, Vec<u8>)> = chunk_ranges(interned.len(), per)
+                .into_iter()
+                .map(|r| (r.len() as u64, encode_interned_chunk(&interned.events()[r])))
+                .collect();
+            let meta = meta::interned(interned.len() as u64, interned.pcs());
+            push_chunked_section(buf, section::INTERNED, &meta, &chunks);
+        }
+        ArtifactForm::Stream(key, stream) => {
+            let per = items_per_chunk(section::STREAM, stream.is_laned(), chunk_bytes);
+            let chunks: Vec<(u64, Vec<u8>)> = chunk_ranges(stream.len(), per)
+                .into_iter()
+                .map(|r| {
+                    let lanes = if stream.is_laned() {
+                        &stream.lanes()[r.clone()]
+                    } else {
+                        &[] as &[u32]
+                    };
+                    (r.len() as u64, encode_stream_chunk(&stream.events()[r], lanes))
+                })
+                .collect();
+            let meta =
+                meta::stream(key, stream.history_bits(), stream.is_laned(), stream.len() as u64);
+            push_chunked_section(buf, section::STREAM, &meta, &chunks);
+        }
+    }
+}
+
 /// Serializes a v3 chunked artifact container: the same forms as
 /// [`write_artifacts`], with each section split into `chunk_bytes`-budget
 /// varint+delta chunks behind a seekable, checksummed chunk table.
 ///
 /// The inverse of [`read_artifacts`] (which dispatches on the header
-/// version); [`ChunkedArtifact`] reads the same bytes seekably.
+/// version); [`ChunkedArtifact`] reads the same bytes seekably. Equal to
+/// [`artifact_header`] followed by one [`encode_section`] per form.
 #[must_use]
 pub fn write_artifacts_chunked(
     fingerprint: u64,
@@ -1024,117 +1163,185 @@ pub fn write_artifacts_chunked(
     streams: &[(Vec<u8>, &PatternStream)],
     chunk_bytes: usize,
 ) -> Vec<u8> {
-    let chunk_bytes = chunk_bytes.max(1);
-    let sections = usize::from(trace.is_some())
-        + usize::from(packed.is_some())
-        + usize::from(interned.is_some())
-        + streams.len();
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&ARTIFACT_VERSION_CHUNKED.to_le_bytes());
-    buf.extend_from_slice(&fingerprint.to_le_bytes());
-    buf.extend_from_slice(&u32::try_from(sections).expect("section count fits u32").to_le_bytes());
-
-    if let Some(trace) = trace {
-        let per = items_per_chunk(section::TRACE, false, chunk_bytes);
-        let chunks: Vec<(u64, Vec<u8>)> = chunk_ranges(trace.len(), per)
-            .into_iter()
-            .map(|r| (r.len() as u64, encode_trace_chunk(&trace.events()[r])))
-            .collect();
-        let meta = meta::trace(trace.len() as u64, trace.total_instructions());
-        push_chunked_section(&mut buf, section::TRACE, &meta, &chunks);
-    }
-    if let Some(packed) = packed {
-        let per = items_per_chunk(section::PACKED, false, chunk_bytes);
-        let chunks: Vec<(u64, Vec<u8>)> = chunk_ranges(packed.len(), per)
-            .into_iter()
-            .map(|r| (r.len() as u64, encode_packed_chunk(&packed[r])))
-            .collect();
-        push_chunked_section(
-            &mut buf,
-            section::PACKED,
-            &meta::packed(packed.len() as u64),
-            &chunks,
-        );
-    }
-    if let Some(interned) = interned {
-        let per = items_per_chunk(section::INTERNED, false, chunk_bytes);
-        let chunks: Vec<(u64, Vec<u8>)> = chunk_ranges(interned.len(), per)
-            .into_iter()
-            .map(|r| (r.len() as u64, encode_interned_chunk(&interned.events()[r])))
-            .collect();
-        let meta = meta::interned(interned.len() as u64, interned.pcs());
-        push_chunked_section(&mut buf, section::INTERNED, &meta, &chunks);
-    }
-    for (key, stream) in streams {
-        let per = items_per_chunk(section::STREAM, stream.is_laned(), chunk_bytes);
-        let chunks: Vec<(u64, Vec<u8>)> = chunk_ranges(stream.len(), per)
-            .into_iter()
-            .map(|r| {
-                let lanes =
-                    if stream.is_laned() { &stream.lanes()[r.clone()] } else { &[] as &[u32] };
-                (r.len() as u64, encode_stream_chunk(&stream.events()[r], lanes))
-            })
-            .collect();
-        let meta = meta::stream(key, stream.history_bits(), stream.is_laned(), stream.len() as u64);
-        push_chunked_section(&mut buf, section::STREAM, &meta, &chunks);
+    let forms: Vec<ArtifactForm<'_>> = trace
+        .map(ArtifactForm::Trace)
+        .into_iter()
+        .chain(packed.map(ArtifactForm::Packed))
+        .chain(interned.map(ArtifactForm::Interned))
+        .chain(streams.iter().map(|(key, stream)| ArtifactForm::Stream(key, stream)))
+        .collect();
+    let mut buf = artifact_header(fingerprint, forms.len()).to_vec();
+    for form in forms {
+        push_form_section(&mut buf, form, chunk_bytes);
     }
     buf
+}
+
+/// One v3 section head: kind, metadata and chunk table
+/// `(encoded_len, items, checksum)`, its head checksum verified.
+struct SectionHead<'a> {
+    kind: u8,
+    meta: &'a [u8],
+    table: Vec<(u64, u64, u64)>,
+}
+
+/// Reads and verifies one section head at the cursor, leaving it at the
+/// first chunk payload.
+fn read_section_head<'a>(cur: &mut Cursor<'a>) -> Result<SectionHead<'a>, ReadTraceError> {
+    let truncated = ReadTraceError::Truncated { at_event: 0 };
+    let head_start = cur.pos;
+    if cur.remaining() < 5 {
+        return Err(truncated);
+    }
+    let kind = cur.get_u8();
+    let meta_len = usize::try_from(cur.get_u32_le()).map_err(|_| truncated.clone())?;
+    if cur.remaining() < meta_len.saturating_add(4) {
+        return Err(truncated);
+    }
+    let meta = &cur.bytes[cur.pos..cur.pos + meta_len];
+    cur.pos += meta_len;
+    let nchunks = usize::try_from(cur.get_u32_le()).map_err(|_| truncated.clone())?;
+    let table_bytes = nchunks.checked_mul(24).ok_or_else(|| truncated.clone())?;
+    if cur.remaining() < table_bytes.saturating_add(8) {
+        return Err(truncated);
+    }
+    let table: Vec<(u64, u64, u64)> =
+        (0..nchunks).map(|_| (cur.get_u64_le(), cur.get_u64_le(), cur.get_u64_le())).collect();
+    let stored_head = cur.get_u64_le();
+    if checksum(&cur.bytes[head_start..cur.pos - 8]) != stored_head {
+        return Err(ReadTraceError::SectionChecksum { kind });
+    }
+    Ok(SectionHead { kind, meta, table })
+}
+
+/// Takes the next `encoded` payload bytes off the cursor and verifies
+/// them against the chunk table's stored checksum.
+fn take_chunk<'a>(
+    cur: &mut Cursor<'a>,
+    kind: u8,
+    encoded: u64,
+    stored: u64,
+) -> Result<&'a [u8], ReadTraceError> {
+    let truncated = ReadTraceError::Truncated { at_event: 0 };
+    let encoded = usize::try_from(encoded).map_err(|_| truncated.clone())?;
+    if cur.remaining() < encoded {
+        return Err(truncated);
+    }
+    let payload = &cur.bytes[cur.pos..cur.pos + encoded];
+    cur.pos += encoded;
+    if checksum(payload) != stored {
+        return Err(ReadTraceError::SectionChecksum { kind });
+    }
+    Ok(payload)
 }
 
 /// Decodes the body of a v3 container (cursor positioned after magic +
 /// version) into a whole [`ArtifactBundle`], verifying every head and
 /// chunk checksum and every structural invariant.
 fn read_artifacts_chunked(cur: &mut Cursor<'_>) -> Result<ArtifactBundle, ReadTraceError> {
-    let truncated = ReadTraceError::Truncated { at_event: 0 };
     if cur.remaining() < 12 {
-        return Err(truncated);
+        return Err(ReadTraceError::Truncated { at_event: 0 });
     }
     let mut bundle = ArtifactBundle { fingerprint: cur.get_u64_le(), ..ArtifactBundle::default() };
     let sections = cur.get_u32_le();
     for _ in 0..sections {
-        let head_start = cur.pos;
-        if cur.remaining() < 5 {
-            return Err(truncated);
-        }
-        let kind = cur.get_u8();
-        let bad = ReadTraceError::BadSection { kind };
-        let meta_len = usize::try_from(cur.get_u32_le()).map_err(|_| truncated.clone())?;
-        if cur.remaining() < meta_len + 4 {
-            return Err(truncated);
-        }
-        let meta = cur.bytes[cur.pos..cur.pos + meta_len].to_vec();
-        cur.pos += meta_len;
-        let nchunks = usize::try_from(cur.get_u32_le()).map_err(|_| truncated.clone())?;
-        let table_bytes = nchunks.checked_mul(24).ok_or_else(|| truncated.clone())?;
-        if cur.remaining() < table_bytes + 8 {
-            return Err(truncated);
-        }
-        let table: Vec<(u64, u64, u64)> =
-            (0..nchunks).map(|_| (cur.get_u64_le(), cur.get_u64_le(), cur.get_u64_le())).collect();
-        let stored_head = cur.get_u64_le();
-        if checksum(&cur.bytes[head_start..cur.pos - 8]) != stored_head {
-            return Err(ReadTraceError::SectionChecksum { kind });
-        }
-        let mut decoder = SectionDecoder::new(kind, &meta).ok_or(bad.clone())?;
-        for &(encoded, items, stored) in &table {
-            let encoded = usize::try_from(encoded).map_err(|_| truncated.clone())?;
-            if cur.remaining() < encoded {
-                return Err(truncated);
-            }
-            let payload = &cur.bytes[cur.pos..cur.pos + encoded];
-            cur.pos += encoded;
-            if checksum(payload) != stored {
-                return Err(ReadTraceError::SectionChecksum { kind });
-            }
-            decoder.decode_chunk(payload, items).ok_or(bad.clone())?;
-        }
-        decoder.finish(&mut bundle).ok_or(bad)?;
+        decode_chunked_section(cur, &mut bundle)?;
     }
     if cur.remaining() > 0 {
         return Err(ReadTraceError::TrailingBytes { count: cur.remaining() });
     }
     Ok(bundle)
+}
+
+/// Decodes the one v3 section at the cursor into `bundle`.
+fn decode_chunked_section(
+    cur: &mut Cursor<'_>,
+    bundle: &mut ArtifactBundle,
+) -> Result<(), ReadTraceError> {
+    let head = read_section_head(cur)?;
+    let bad = ReadTraceError::BadSection { kind: head.kind };
+    let mut decoder = SectionDecoder::new(head.kind, head.meta).ok_or(bad.clone())?;
+    for &(encoded, items, stored) in &head.table {
+        let payload = take_chunk(cur, head.kind, encoded, stored)?;
+        decoder.decode_chunk(payload, items).ok_or(bad.clone())?;
+    }
+    decoder.finish(bundle).ok_or(bad)
+}
+
+/// Fully decodes one v3 section — exactly the bytes of one
+/// [`encode_section`] output, e.g. a range [`walk_artifact`] reported —
+/// and discards the result: the structural check a section gets before
+/// it is carried into a new container by a writer that does not hold
+/// its form in memory.
+///
+/// # Errors
+///
+/// Any checksum, truncation or structural failure [`read_artifacts`]
+/// would report for the section, or [`ReadTraceError::TrailingBytes`]
+/// when `bytes` runs past its end.
+pub fn validate_section(bytes: &[u8]) -> Result<(), ReadTraceError> {
+    let mut cur = Cursor { bytes, pos: 0 };
+    decode_chunked_section(&mut cur, &mut ArtifactBundle::default())?;
+    match cur.remaining() {
+        0 => Ok(()),
+        count => Err(ReadTraceError::TrailingBytes { count }),
+    }
+}
+
+/// The verified sections of a v3 container, as found by
+/// [`walk_artifact`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArtifactLayout {
+    /// The workload fingerprint stamped into the header.
+    pub fingerprint: u64,
+    /// Every section whose head checksum and chunk checksums all
+    /// verified, in file order, with its byte range in the container.
+    pub sections: Vec<(SectionTag, std::ops::Range<usize>)>,
+}
+
+/// Walks a v3 container section by section, verifying each head
+/// checksum and each chunk checksum, and decodes no payload.
+///
+/// A section whose chunks fail their checksums, or whose kind or stream
+/// metadata is unknown, is left out of the layout and the walk moves on
+/// (the verified head still gives its length). A failed head checksum or
+/// a truncation ends the walk: what follows cannot be located, so the
+/// layout holds the verified sections before it. Bytes past the last
+/// declared section are ignored.
+///
+/// # Errors
+///
+/// Returns a [`ReadTraceError`] when the header itself is unreadable:
+/// bad magic, a version other than [`ARTIFACT_VERSION_CHUNKED`], or a
+/// truncated header.
+pub fn walk_artifact(bytes: &[u8]) -> Result<ArtifactLayout, ReadTraceError> {
+    expect_magic(bytes, MAGIC)?;
+    let mut cur = Cursor { bytes, pos: 4 };
+    if cur.remaining() < 14 {
+        return Err(ReadTraceError::Truncated { at_event: 0 });
+    }
+    let version = cur.get_u16_le();
+    if version != ARTIFACT_VERSION_CHUNKED {
+        return Err(ReadTraceError::UnsupportedVersion { found: version });
+    }
+    let mut layout = ArtifactLayout { fingerprint: cur.get_u64_le(), sections: Vec::new() };
+    let sections = cur.get_u32_le();
+    for _ in 0..sections {
+        let start = cur.pos;
+        let Ok(head) = read_section_head(&mut cur) else { break };
+        let mut intact = true;
+        for &(encoded, _, stored) in &head.table {
+            match take_chunk(&mut cur, head.kind, encoded, stored) {
+                Ok(_) => {}
+                Err(ReadTraceError::SectionChecksum { .. }) => intact = false,
+                Err(_) => return Ok(layout),
+            }
+        }
+        if let Some(tag) = SectionTag::of(head.kind, head.meta).filter(|_| intact) {
+            layout.sections.push((tag, start..cur.pos));
+        }
+    }
+    Ok(layout)
 }
 
 /// Incremental decoder for one v3 section: chunks stream through
@@ -1523,14 +1730,8 @@ pub fn write_memo(artifact: &MemoArtifact) -> Vec<u8> {
 /// An `Err` means the file proves nothing — the daemon treats it as a
 /// miss and regenerates on the next cold execution.
 pub fn read_memo(bytes: &[u8]) -> Result<MemoArtifact, ReadTraceError> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    if cur.remaining() < 4 || &bytes[..4] != MEMO_MAGIC {
-        let mut found = [0u8; 4];
-        let n = cur.remaining().min(4);
-        found[..n].copy_from_slice(&bytes[..n]);
-        return Err(ReadTraceError::BadMagic { found });
-    }
-    cur.pos = 4;
+    expect_magic(bytes, MEMO_MAGIC)?;
+    let mut cur = Cursor { bytes, pos: 4 };
     if cur.remaining() < 2 {
         return Err(ReadTraceError::Truncated { at_event: 0 });
     }
@@ -1646,8 +1847,35 @@ impl FileLock {
 /// # Errors
 ///
 /// Propagates directory-creation, write, and rename failures; a failed
-/// rename removes the temp file.
+/// write or rename removes the temp file.
 pub fn write_file_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    write_parts_atomic(path, &[bytes])
+}
+
+/// Atomically writes a v3 container assembled from its parts: the
+/// [`artifact_header`] for `sections.len()` sections, then each section
+/// in the order given — typically a mix of byte ranges copied from the
+/// previous file ([`walk_artifact`]) and fresh [`encode_section`]
+/// outputs. The parts stream straight into the temp file; the container
+/// is never staged whole in memory.
+///
+/// # Errors
+///
+/// As [`write_file_atomic`].
+pub fn write_artifact_atomic(
+    path: &std::path::Path,
+    fingerprint: u64,
+    sections: &[&[u8]],
+) -> std::io::Result<()> {
+    let header = artifact_header(fingerprint, sections.len());
+    let parts: Vec<&[u8]> = std::iter::once(&header[..]).chain(sections.iter().copied()).collect();
+    write_parts_atomic(path, &parts)
+}
+
+/// The temp-file + rename discipline behind [`write_file_atomic`] and
+/// [`write_artifact_atomic`], writing `parts` back to back.
+fn write_parts_atomic(path: &std::path::Path, parts: &[&[u8]]) -> std::io::Result<()> {
+    use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
     static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or_else(|| std::path::Path::new("."));
@@ -1657,8 +1885,9 @@ pub fn write_file_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Resul
         std::process::id(),
         TEMP_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
-    std::fs::write(&temp, bytes)?;
-    std::fs::rename(&temp, path).inspect_err(|_| {
+    let written = std::fs::File::create(&temp)
+        .and_then(|mut file| parts.iter().try_for_each(|part| file.write_all(part)));
+    written.and_then(|()| std::fs::rename(&temp, path)).inspect_err(|_| {
         let _ = std::fs::remove_file(&temp);
     })
 }
@@ -1730,8 +1959,9 @@ mod tests {
         assert!(msg.contains("event 7"));
     }
 
-    #[allow(clippy::type_complexity)]
-    fn sample_bundle() -> (Trace, Vec<PackedCond>, InternedConds, Vec<(Vec<u8>, PatternStream)>) {
+    type SampleBundle = (Trace, Vec<PackedCond>, InternedConds, Vec<(Vec<u8>, PatternStream)>);
+
+    fn sample_bundle() -> SampleBundle {
         let trace = crate::synth::LoopNest::new(&[6, 9]).generate();
         let packed = trace.pack_conditionals();
         let interned = InternedConds::from_packed(&packed);
@@ -2083,6 +2313,141 @@ mod tests {
             ChunkedArtifact::open(&bad_path).unwrap_err(),
             ReadTraceError::SectionChecksum { .. }
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The sample bundle's forms in container order, with their tags.
+    fn sample_forms(bundle: &SampleBundle) -> Vec<ArtifactForm<'_>> {
+        let (trace, packed, interned, streams) = bundle;
+        let mut forms = vec![
+            ArtifactForm::Trace(trace),
+            ArtifactForm::Packed(packed),
+            ArtifactForm::Interned(interned),
+        ];
+        let mut sorted: Vec<&(Vec<u8>, PatternStream)> = streams.iter().collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        forms.extend(sorted.into_iter().map(|(key, stream)| ArtifactForm::Stream(key, stream)));
+        forms
+    }
+
+    #[test]
+    fn sections_assemble_into_the_whole_container() {
+        let bundle = sample_bundle();
+        let forms = sample_forms(&bundle);
+        let tags: Vec<SectionTag> = forms.iter().map(ArtifactForm::tag).collect();
+        assert!(tags.windows(2).all(|w| w[0] < w[1]), "container order is tag order");
+        for chunk_bytes in [DEFAULT_CHUNK_BYTES, 64] {
+            let streams: Vec<(Vec<u8>, &PatternStream)> = forms[3..]
+                .iter()
+                .map(|form| match form {
+                    ArtifactForm::Stream(key, stream) => (key.to_vec(), *stream),
+                    _ => unreachable!(),
+                })
+                .collect();
+            let whole = write_artifacts_chunked(
+                9,
+                Some(&bundle.0),
+                Some(&bundle.1),
+                Some(&bundle.2),
+                &streams,
+                chunk_bytes,
+            );
+            let sections: Vec<Vec<u8>> =
+                forms.iter().map(|&form| encode_section(form, chunk_bytes)).collect();
+            let mut assembled = artifact_header(9, sections.len()).to_vec();
+            sections.iter().for_each(|section| assembled.extend_from_slice(section));
+            assert_eq!(assembled, whole, "header + sections is the container");
+
+            let layout = walk_artifact(&whole).unwrap();
+            assert_eq!(layout.fingerprint, 9);
+            let walked: Vec<SectionTag> = layout.sections.iter().map(|(t, _)| t.clone()).collect();
+            assert_eq!(walked, tags);
+            for ((_, range), section) in layout.sections.iter().zip(&sections) {
+                assert_eq!(&whole[range.clone()], section.as_slice());
+                validate_section(section).unwrap();
+            }
+            assert_eq!(layout.sections.last().unwrap().1.end, whole.len());
+        }
+    }
+
+    #[test]
+    fn walk_skips_damaged_sections_and_stops_at_a_bad_head() {
+        let bytes = write_sample_chunked(4, 64);
+        let layout = walk_artifact(&bytes).unwrap();
+        let tags: Vec<SectionTag> = layout.sections.iter().map(|(t, _)| t.clone()).collect();
+        assert_eq!(tags.len(), 5);
+
+        // A flipped payload byte drops exactly its own section: the
+        // verified head still locates the sections after it.
+        let packed = layout.sections[1].1.clone();
+        let mut corrupt = bytes.clone();
+        corrupt[packed.end - 1] ^= 0x04;
+        let damaged = walk_artifact(&corrupt).unwrap();
+        let mut expected = layout.sections.clone();
+        expected.remove(1);
+        assert_eq!(damaged.sections, expected);
+
+        // A flipped head byte ends the walk: only earlier sections remain.
+        let mut corrupt = bytes.clone();
+        corrupt[packed.start + 1] ^= 0x01;
+        assert_eq!(walk_artifact(&corrupt).unwrap().sections, layout.sections[..1].to_vec());
+
+        // Truncation keeps the whole sections before the cut.
+        let cut = walk_artifact(&bytes[..layout.sections[2].1.end + 3]).unwrap();
+        assert_eq!(cut.sections, layout.sections[..3].to_vec());
+
+        assert_eq!(
+            walk_artifact(&write_sample(4)).unwrap_err(),
+            ReadTraceError::UnsupportedVersion { found: ARTIFACT_VERSION }
+        );
+        assert!(matches!(walk_artifact(b"TLB").unwrap_err(), ReadTraceError::BadMagic { .. }));
+    }
+
+    #[test]
+    fn validate_section_catches_what_checksums_cannot() {
+        let (_, packed, _, _) = sample_bundle();
+        let section = encode_section(ArtifactForm::Packed(&packed), DEFAULT_CHUNK_BYTES);
+        validate_section(&section).unwrap();
+
+        // Declare one more item than the chunks hold, then re-stamp the
+        // head checksum: every checksum verifies, the decode does not.
+        let mut lying = section.clone();
+        let count = u64::from_le_bytes(lying[5..13].try_into().unwrap()) + 1;
+        lying[5..13].copy_from_slice(&count.to_le_bytes());
+        let head_end = 5 + 8 + 4 + 24;
+        let sum = checksum(&lying[..head_end]);
+        lying[head_end..head_end + 8].copy_from_slice(&sum.to_le_bytes());
+        let mut container = artifact_header(1, 1).to_vec();
+        container.extend_from_slice(&lying);
+        assert_eq!(walk_artifact(&container).unwrap().sections.len(), 1, "checksums verify");
+        assert_eq!(
+            validate_section(&lying).unwrap_err(),
+            ReadTraceError::BadSection { kind: section::PACKED }
+        );
+
+        let mut trailing = section.clone();
+        trailing.push(0);
+        assert_eq!(
+            validate_section(&trailing).unwrap_err(),
+            ReadTraceError::TrailingBytes { count: 1 }
+        );
+    }
+
+    #[test]
+    fn write_artifact_atomic_streams_parts_into_the_container() {
+        let dir = std::env::temp_dir().join(format!("tlabp-io-parts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("sample.tlabp");
+        let bundle = sample_bundle();
+        let sections: Vec<Vec<u8>> =
+            sample_forms(&bundle).into_iter().map(|form| encode_section(form, 64)).collect();
+        let parts: Vec<&[u8]> = sections.iter().map(Vec::as_slice).collect();
+        write_artifact_atomic(&path, 0xabc, &parts).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let back = read_artifacts(&bytes).unwrap();
+        assert_eq!(back.fingerprint, 0xabc);
+        assert_eq!(back.trace.as_ref(), Some(&bundle.0));
+        assert_eq!(back.streams.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,7 @@
 //! The benchmark registry: Table 1 metadata and trace generation.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use tlabp_isa::program::Program;
 use tlabp_isa::vm::Vm;
@@ -206,9 +207,27 @@ impl Benchmark {
     ///
     /// The hash folds the `Debug` rendering of each instruction — the
     /// rendering is a total, injective description of the instruction, and
-    /// hashing text keeps this independent of in-memory layout.
+    /// hashing text keeps this independent of in-memory layout. Rendering
+    /// a whole program costs milliseconds, and callers ask often (the
+    /// sweep daemon's memo tier folds every workload's fingerprint per
+    /// memoized plan), so each value is computed once per process.
     #[must_use]
     pub fn fingerprint(&self, data_set: DataSet) -> u64 {
+        static FINGERPRINTS: [[OnceLock<u64>; 2]; Benchmark::ALL.len()] =
+            [const { [const { OnceLock::new() }; 2] }; Benchmark::ALL.len()];
+        let index = Benchmark::ALL
+            .iter()
+            .position(|b| b.name == self.name)
+            .expect("every benchmark is in the registry");
+        let set = match data_set {
+            DataSet::Training => 0,
+            DataSet::Testing => 1,
+        };
+        *FINGERPRINTS[index][set].get_or_init(|| self.render_fingerprint(data_set))
+    }
+
+    /// The uncached [`Benchmark::fingerprint`].
+    fn render_fingerprint(&self, data_set: DataSet) -> u64 {
         const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
         let fold = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(SEED);
         let fold_bytes = |mut hash: u64, bytes: &[u8]| {

@@ -10,8 +10,9 @@
 # plus a capped-window streaming pass proving TLABP_STREAM_BYTES is a
 # memory knob only — and one-iteration smoke runs of the throughput
 # harness (full, then the replay section alone under the portable SWAR
-# body, then the scaling, service and stream sections alone), an
-# end-to-end TLBE import of the built-in demo capture, and the
+# body, then the scaling, service and stream sections alone), a cold
+# and a warm `experiments all` through one small-chunk trace dir whose
+# CSVs must match results/ byte for byte, an end-to-end TLBE import of the built-in demo capture, and the
 # sweep-service smoke test: a daemon is started with a persistent memo
 # tier, a concurrent burst of clients streams the fig5 plan, every
 # result set must be byte-identical to an in-process `experiments exec`
@@ -41,6 +42,18 @@ TLABP_BENCH_ITERS=1 TLABP_SIMD=swar cargo run -q -p tlabp-experiments --release 
 TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --section scaling --out "$(mktemp -d)"
 TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --section service --out "$(mktemp -d)"
 TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --section stream --out "$(mktemp -d)"
+# The disk tier end to end: a cold and then a warm `experiments all`
+# into one fresh trace dir, at the smallest chunk budget so sections span
+# several chunks and every persist splices multi-chunk sections. Every
+# CSV each run writes must be byte-identical to the committed results/.
+ALL_TRACE_DIR="$(mktemp -d)"
+for pass in cold warm; do
+  ALL_OUT="$(mktemp -d)"
+  TLABP_CHUNK_BYTES=65536 TLABP_TRACE_DIR="$ALL_TRACE_DIR" cargo run -q -p tlabp-experiments --release -- all --out "$ALL_OUT" > "$ALL_OUT/$pass.log"
+  for csv in "$ALL_OUT"/*.csv; do
+    cmp "$csv" "results/$(basename "$csv")"
+  done
+done
 # External trace ingestion: the built-in demo capture must import,
 # persist as a fingerprint-named v3 artifact and pass its replay smoke
 # check end-to-end.
