@@ -1,7 +1,7 @@
 //! The pattern history table (PHT) of the paper's Section 2.1.
 
 use crate::automaton::{Automaton, State};
-use crate::simd::{Kernel, SimdMode};
+use crate::simd::SimdMode;
 
 /// A pattern history table: `2^k` automaton states indexed by the content
 /// of a k-bit history register.
@@ -287,162 +287,6 @@ impl PackedPht {
     }
 }
 
-/// A bank of equally-sized [`PackedPht`]s interleaved into one
-/// allocation: word `w` of member `m` lives at index `w * members + m`,
-/// so every member's entry for one pattern sits on the same (or the
-/// next) cache line.
-///
-/// This is how a replay batch walks many second levels over one shared
-/// pattern stream. Separately-allocated tables make the batched walk
-/// hostage to the allocator: members hit identical offsets in distinct
-/// buffers back to back, and buffers landing 4 KiB-congruent (common
-/// once the heap has churned) turn every member's load into a false
-/// store-forwarding conflict with the previous member's store.
-/// Interleaving makes the batch's per-event traffic contiguous instead.
-///
-/// Each member keeps its own automaton transition word, so a bank can
-/// mix automata — the automaton-ablation sweep is exactly that. The
-/// transition word compresses the member's [`Automaton::packed_lut`]
-/// into a `u32` (8 live `(state, taken)` inputs × 4-bit entries), so
-/// stepping a member shifts a register instead of loading from a
-/// 256-byte table — one dependent load per member-step instead of two.
-/// Final member states stay in the bank (replay only needs the
-/// prediction counts), so there is no write-back to the source tables.
-#[derive(Debug, Clone)]
-pub struct PackedPhtBank {
-    history_bits: u32,
-    members: usize,
-    word_mask: usize,
-    luts: Vec<u32>,
-    words: Vec<u64>,
-}
-
-impl PackedPhtBank {
-    /// Interleaves `tables` into a bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tables` is empty or its members disagree on
-    /// `history_bits`.
-    #[must_use]
-    pub fn new(tables: &[PackedPht]) -> Self {
-        let first = tables.first().expect("a bank needs at least one member");
-        assert!(
-            tables.iter().all(|t| t.history_bits == first.history_bits),
-            "bank members must share one table geometry"
-        );
-        let members = tables.len();
-        let word_count = first.words.len();
-        let mut words = vec![0u64; word_count * members];
-        for (member, table) in tables.iter().enumerate() {
-            for (index, &word) in table.words.iter().enumerate() {
-                words[index * members + member] = word;
-            }
-        }
-        let luts = tables
-            .iter()
-            .map(|table| {
-                (0..8).fold(0u32, |flags, index| flags | u32::from(table.lut[index]) << (index * 4))
-            })
-            .collect();
-        PackedPhtBank {
-            history_bits: first.history_bits,
-            members,
-            word_mask: word_count - 1,
-            luts,
-            words,
-        }
-    }
-
-    /// The history-register length `k` every member is sized for.
-    #[must_use]
-    pub fn history_bits(&self) -> u32 {
-        self.history_bits
-    }
-
-    /// Number of member tables.
-    #[must_use]
-    pub fn members(&self) -> usize {
-        self.members
-    }
-
-    /// [`PackedPht::predict_update`] on every member's entry for
-    /// `pattern`, calling `sink(member, predicted)` in member order.
-    #[inline]
-    pub fn predict_update_each(
-        &mut self,
-        pattern: usize,
-        taken: bool,
-        mut sink: impl FnMut(usize, bool),
-    ) {
-        debug_assert!(pattern >> 5 <= self.word_mask, "pattern {pattern} out of range");
-        let shift = (pattern & 31) * 2;
-        let base = ((pattern >> 5) & self.word_mask) * self.members;
-        let row = &mut self.words[base..base + self.members];
-        for (member, (word, &flags)) in row.iter_mut().zip(&self.luts).enumerate() {
-            let state = ((*word >> shift) & 0b11) as u32;
-            let entry = (flags >> (((state << 1) | u32::from(taken)) * 4)) & 0b111;
-            *word = (*word & !(0b11 << shift)) | (u64::from(entry & 0b11) << shift);
-            sink(member, entry & 0b100 != 0);
-        }
-    }
-
-    /// [`PackedPhtBank::predict_update_each`] specialized for counting:
-    /// adds 1 to `corrects[member]` for every member whose prediction
-    /// matches `taken`. The replay inner loop — everything (row, LUTs,
-    /// counters) advances in one zip with no per-member indexing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `corrects` is shorter than [`PackedPhtBank::members`].
-    #[inline]
-    pub fn predict_update_count(&mut self, pattern: usize, taken: bool, corrects: &mut [u64]) {
-        debug_assert!(pattern >> 5 <= self.word_mask, "pattern {pattern} out of range");
-        assert!(corrects.len() >= self.members, "one counter per member");
-        let shift = (pattern & 31) * 2;
-        let base = ((pattern >> 5) & self.word_mask) * self.members;
-        let row = &mut self.words[base..base + self.members];
-        for ((word, &flags), correct) in row.iter_mut().zip(&self.luts).zip(corrects) {
-            let state = ((*word >> shift) & 0b11) as u32;
-            let entry = (flags >> (((state << 1) | u32::from(taken)) * 4)) & 0b111;
-            *word = (*word & !(0b11 << shift)) | (u64::from(entry & 0b11) << shift);
-            *correct += u64::from((entry & 0b100 != 0) == taken);
-        }
-    }
-
-    /// [`PackedPhtBank::predict_update_count`] with the member count as a
-    /// compile-time constant: the member loop fully unrolls and the
-    /// counters live in a fixed array the optimizer can keep in
-    /// registers. Callers dispatch on [`PackedPhtBank::members`] and fall
-    /// back to the dynamic variant for sizes they didn't specialize.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `N` differs from [`PackedPhtBank::members`].
-    #[inline]
-    pub fn predict_update_count_fixed<const N: usize>(
-        &mut self,
-        pattern: usize,
-        taken: bool,
-        corrects: &mut [u64; N],
-    ) {
-        debug_assert!(pattern >> 5 <= self.word_mask, "pattern {pattern} out of range");
-        assert_eq!(N, self.members, "bank walked at the wrong width");
-        let shift = (pattern & 31) * 2;
-        let base = ((pattern >> 5) & self.word_mask) * N;
-        let row: &mut [u64; N] =
-            (&mut self.words[base..base + N]).try_into().expect("row is N words");
-        let luts: &[u32; N] = self.luts[..N].try_into().expect("one lut per member");
-        for member in 0..N {
-            let word = &mut row[member];
-            let state = ((*word >> shift) & 0b11) as u32;
-            let entry = (luts[member] >> (((state << 1) | u32::from(taken)) * 4)) & 0b111;
-            *word = (*word & !(0b11 << shift)) | (u64::from(entry & 0b11) << shift);
-            corrects[member] += u64::from((entry & 0b100 != 0) == taken);
-        }
-    }
-}
-
 /// Bit 0 of every nibble lane.
 const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
 /// Bits 0–1 (the stored 2-bit state) of every nibble lane.
@@ -475,15 +319,17 @@ struct BankKernel {
     /// Transposed words per table row (`ceil(members / 16)`).
     cols: usize,
     /// Coefficient masks, direction-major then coefficient-major:
-    /// `coeff[((taken * 4) + k) * cols + col]` — so each direction's four
-    /// column vectors are contiguous for the vector bodies.
+    /// `coeff[((taken * 4) + k) * cols + col]` — so one event's four
+    /// coefficient vectors are one contiguous slice.
     coeff: Vec<u64>,
     /// Nibble bit 2 set for every occupied member lane, per column: masks
     /// the kernel's prediction bits and (xored in when the branch was not
     /// taken) converts them to correctness bits.
     pred_occ: Vec<u64>,
-    /// Per-member compressed LUTs ([`PackedPhtBank`]-style `u32`s) for
-    /// the scalar reference body.
+    /// Per-member compressed LUTs for the scalar reference body: the
+    /// member's [`Automaton::packed_lut`] squeezed into a `u32` (8 live
+    /// `(state, taken)` inputs × 4-bit entries), so a step shifts a
+    /// register instead of loading from a 256-byte table.
     luts: Vec<u32>,
 }
 
@@ -528,42 +374,29 @@ fn transpose_states(tables: &[PackedPht], rows: usize, cols: usize) -> Vec<u64> 
     words
 }
 
-/// One column of the portable SWAR body: advance 16 member nibbles and
-/// accumulate their correctness bits.
-#[inline(always)]
-fn step_col_swar(
-    row: &mut [u64],
-    ct: &[u64],
-    pred_occ: &[u64],
-    not_taken: u64,
-    acc: &mut [u64],
-    cols: usize,
-    col: usize,
-) {
-    let w = row[col];
-    let lo = w & NIBBLE_LO;
-    let hi = (w >> 1) & NIBBLE_LO;
-    let hl = hi & lo;
-    // `x * 7` spreads each nibble's bit 0 across bits 0–2 (no nibble
-    // carries: 7 < 16), broadcasting a state bit to all three coefficient
-    // bit positions.
-    let out = ct[col]
-        ^ (ct[cols + col] & lo.wrapping_mul(7))
-        ^ (ct[2 * cols + col] & hi.wrapping_mul(7))
-        ^ (ct[3 * cols + col] & hl.wrapping_mul(7));
-    row[col] = out & NIBBLE_STATE;
-    let occ = pred_occ[col];
-    // Bit 2 of each occupied nibble is the member's prediction; xoring in
-    // the occupancy mask on a not-taken branch flips it to "was correct".
-    acc[col] += ((out & occ) ^ (occ & not_taken)) >> 2;
-}
-
-/// The portable `u64` SWAR body over a whole row.
+/// The portable `u64` SWAR body over a whole row: each column advances
+/// 16 member nibbles and accumulates their correctness bits.
 #[inline(always)]
 fn step_row_swar(row: &mut [u64], ct: &[u64], pred_occ: &[u64], not_taken: u64, acc: &mut [u64]) {
     let cols = row.len();
     for col in 0..cols {
-        step_col_swar(row, ct, pred_occ, not_taken, acc, cols, col);
+        let w = row[col];
+        let lo = w & NIBBLE_LO;
+        let hi = (w >> 1) & NIBBLE_LO;
+        let hl = hi & lo;
+        // `x * 7` spreads each nibble's bit 0 across bits 0–2 (no nibble
+        // carries: 7 < 16), broadcasting a state bit to all three
+        // coefficient bit positions.
+        let out = ct[col]
+            ^ (ct[cols + col] & lo.wrapping_mul(7))
+            ^ (ct[2 * cols + col] & hi.wrapping_mul(7))
+            ^ (ct[3 * cols + col] & hl.wrapping_mul(7));
+        row[col] = out & NIBBLE_STATE;
+        let occ = pred_occ[col];
+        // Bit 2 of each occupied nibble is the member's prediction;
+        // xoring in the occupancy mask on a not-taken branch flips it to
+        // "was correct".
+        acc[col] += ((out & occ) ^ (occ & not_taken)) >> 2;
     }
 }
 
@@ -581,308 +414,9 @@ fn step_row_scalar(row: &mut [u64], luts: &[u32], taken: bool, counts: &mut [u64
     }
 }
 
-/// `std::arch` widenings of the SWAR body — the crate's sole sanctioned
-/// `unsafe` (see the crate-root lint note). The bodies compute exactly
-/// the portable algebra on 2 (`SSE2`), 4 (`AVX2`) or 8 (`AVX-512`)
-/// columns per vector op, with narrower steps cascading down to a
-/// portable tail; all pointer arithmetic derives from slices whose
-/// lengths are asserted up front.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    #![allow(unsafe_code)]
-
-    use std::arch::x86_64::{
-        __m128i, __m256i, __m512i, _mm256_add_epi64, _mm256_and_si256, _mm256_loadu_si256,
-        _mm256_set1_epi64x, _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_sub_epi64, _mm256_xor_si256, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512,
-        _mm512_set1_epi64, _mm512_slli_epi64, _mm512_srli_epi64, _mm512_storeu_si512,
-        _mm512_sub_epi64, _mm512_xor_si512, _mm_add_epi64, _mm_and_si128, _mm_loadu_si128,
-        _mm_set1_epi64x, _mm_slli_epi64, _mm_srli_epi64, _mm_storeu_si128, _mm_sub_epi64,
-        _mm_xor_si128,
-    };
-
-    use super::{step_col_swar, NIBBLE_LO, NIBBLE_STATE};
-
-    /// Safe wrapper: SSE2 is part of the x86_64 baseline, so the
-    /// `target_feature` body is always callable here.
-    pub(super) fn step_row_sse2_dyn(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        unsafe { step_row_sse2(row, ct, pred_occ, not_taken, acc) }
-    }
-
-    /// Safe wrapper with defense-in-depth feature re-check (a cached
-    /// atomic load): kernel resolution already verified AVX2, but a
-    /// mis-routed call degrades to the portable body instead of UB.
-    pub(super) fn step_row_avx2_dyn(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            unsafe { step_row_avx2(row, ct, pred_occ, not_taken, acc) }
-        } else {
-            super::step_row_swar(row, ct, pred_occ, not_taken, acc);
-        }
-    }
-
-    /// Safe wrapper with defense-in-depth feature re-check. The body's
-    /// 512-bit loop needs `avx512f`; its 4-column mid step reuses the
-    /// AVX2 algebra, so that feature is re-verified too (every AVX-512
-    /// part ships AVX2, but the check is a cached atomic load and keeps
-    /// the safety argument local). `avx512bw` rides along because the
-    /// tier contract in `core::simd` requires the full F+BW pair.
-    pub(super) fn step_row_avx512_dyn(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-            && std::arch::is_x86_feature_detected!("avx2")
-        {
-            unsafe { step_row_avx512(row, ct, pred_occ, not_taken, acc) }
-        } else {
-            super::step_row_swar(row, ct, pred_occ, not_taken, acc);
-        }
-    }
-
-    #[inline]
-    fn load2(slice: &[u64], at: usize) -> __m128i {
-        let pair: &[u64] = &slice[at..at + 2];
-        // SAFETY: `pair` is a live, bounds-checked &[u64] of length 2 —
-        // 16 readable bytes; `loadu` has no alignment requirement.
-        unsafe { _mm_loadu_si128(pair.as_ptr().cast()) }
-    }
-
-    #[inline]
-    fn store2(slice: &mut [u64], at: usize, value: __m128i) {
-        let pair: &mut [u64] = &mut slice[at..at + 2];
-        // SAFETY: as `load2`, writable.
-        unsafe { _mm_storeu_si128(pair.as_mut_ptr().cast(), value) }
-    }
-
-    #[inline]
-    fn load4(slice: &[u64], at: usize) -> __m256i {
-        let quad: &[u64] = &slice[at..at + 4];
-        // SAFETY: bounds-checked 32 readable bytes, unaligned load.
-        unsafe { _mm256_loadu_si256(quad.as_ptr().cast()) }
-    }
-
-    #[inline]
-    fn store4(slice: &mut [u64], at: usize, value: __m256i) {
-        let quad: &mut [u64] = &mut slice[at..at + 4];
-        // SAFETY: as `load4`, writable.
-        unsafe { _mm256_storeu_si256(quad.as_mut_ptr().cast(), value) }
-    }
-
-    #[inline]
-    fn load8(slice: &[u64], at: usize) -> __m512i {
-        let oct: &[u64] = &slice[at..at + 8];
-        // SAFETY: bounds-checked 64 readable bytes, unaligned load.
-        unsafe { _mm512_loadu_si512(oct.as_ptr().cast()) }
-    }
-
-    #[inline]
-    fn store8(slice: &mut [u64], at: usize, value: __m512i) {
-        let oct: &mut [u64] = &mut slice[at..at + 8];
-        // SAFETY: as `load8`, writable.
-        unsafe { _mm512_storeu_si512(oct.as_mut_ptr().cast(), value) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    unsafe fn step_row_sse2(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        let cols = row.len();
-        assert_eq!(ct.len(), 4 * cols, "coefficients per column");
-        assert_eq!(pred_occ.len(), cols, "occupancy per column");
-        assert_eq!(acc.len(), cols, "accumulator per column");
-        let lane = _mm_set1_epi64x(NIBBLE_LO as i64);
-        let state_mask = _mm_set1_epi64x(NIBBLE_STATE as i64);
-        let nt = _mm_set1_epi64x(not_taken as i64);
-        let mut col = 0;
-        while col + 2 <= cols {
-            let w = load2(row, col);
-            let lo = _mm_and_si128(w, lane);
-            let hi = _mm_and_si128(_mm_srli_epi64(w, 1), lane);
-            let hl = _mm_and_si128(hi, lo);
-            // x * 7 == (x << 3) - x, dodging the missing 64-bit multiply.
-            let sp_lo = _mm_sub_epi64(_mm_slli_epi64(lo, 3), lo);
-            let sp_hi = _mm_sub_epi64(_mm_slli_epi64(hi, 3), hi);
-            let sp_hl = _mm_sub_epi64(_mm_slli_epi64(hl, 3), hl);
-            let out = _mm_xor_si128(
-                _mm_xor_si128(load2(ct, col), _mm_and_si128(load2(ct, cols + col), sp_lo)),
-                _mm_xor_si128(
-                    _mm_and_si128(load2(ct, 2 * cols + col), sp_hi),
-                    _mm_and_si128(load2(ct, 3 * cols + col), sp_hl),
-                ),
-            );
-            store2(row, col, _mm_and_si128(out, state_mask));
-            let occ = load2(pred_occ, col);
-            let correct =
-                _mm_srli_epi64(_mm_xor_si128(_mm_and_si128(out, occ), _mm_and_si128(occ, nt)), 2);
-            store2(acc, col, _mm_add_epi64(load2(acc, col), correct));
-            col += 2;
-        }
-        while col < cols {
-            step_col_swar(row, ct, pred_occ, not_taken, acc, cols, col);
-            col += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (checked by the caller).
-    #[target_feature(enable = "avx2")]
-    unsafe fn step_row_avx2(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        let cols = row.len();
-        assert_eq!(ct.len(), 4 * cols, "coefficients per column");
-        assert_eq!(pred_occ.len(), cols, "occupancy per column");
-        assert_eq!(acc.len(), cols, "accumulator per column");
-        let lane = _mm256_set1_epi64x(NIBBLE_LO as i64);
-        let state_mask = _mm256_set1_epi64x(NIBBLE_STATE as i64);
-        let nt = _mm256_set1_epi64x(not_taken as i64);
-        let mut col = 0;
-        while col + 4 <= cols {
-            let w = load4(row, col);
-            let lo = _mm256_and_si256(w, lane);
-            let hi = _mm256_and_si256(_mm256_srli_epi64(w, 1), lane);
-            let hl = _mm256_and_si256(hi, lo);
-            let sp_lo = _mm256_sub_epi64(_mm256_slli_epi64(lo, 3), lo);
-            let sp_hi = _mm256_sub_epi64(_mm256_slli_epi64(hi, 3), hi);
-            let sp_hl = _mm256_sub_epi64(_mm256_slli_epi64(hl, 3), hl);
-            let out = _mm256_xor_si256(
-                _mm256_xor_si256(load4(ct, col), _mm256_and_si256(load4(ct, cols + col), sp_lo)),
-                _mm256_xor_si256(
-                    _mm256_and_si256(load4(ct, 2 * cols + col), sp_hi),
-                    _mm256_and_si256(load4(ct, 3 * cols + col), sp_hl),
-                ),
-            );
-            store4(row, col, _mm256_and_si256(out, state_mask));
-            let occ = load4(pred_occ, col);
-            let correct = _mm256_srli_epi64(
-                _mm256_xor_si256(_mm256_and_si256(out, occ), _mm256_and_si256(occ, nt)),
-                2,
-            );
-            store4(acc, col, _mm256_add_epi64(load4(acc, col), correct));
-            col += 4;
-        }
-        while col < cols {
-            step_col_swar(row, ct, pred_occ, not_taken, acc, cols, col);
-            col += 1;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX-512F (512-bit loop) and AVX2 (4-column mid step);
-    /// both are checked by the caller.
-    ///
-    /// The cascade matters: a row narrower than 8 columns must not fall
-    /// straight to the scalar tail, or the forced `avx512` tier would be
-    /// *slower* than `avx2` on the common ≤ 4-column banks — so leftover
-    /// columns take one AVX2 quad step before the portable tail.
-    #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    unsafe fn step_row_avx512(
-        row: &mut [u64],
-        ct: &[u64],
-        pred_occ: &[u64],
-        not_taken: u64,
-        acc: &mut [u64],
-    ) {
-        let cols = row.len();
-        assert_eq!(ct.len(), 4 * cols, "coefficients per column");
-        assert_eq!(pred_occ.len(), cols, "occupancy per column");
-        assert_eq!(acc.len(), cols, "accumulator per column");
-        let lane = _mm512_set1_epi64(NIBBLE_LO as i64);
-        let state_mask = _mm512_set1_epi64(NIBBLE_STATE as i64);
-        let nt = _mm512_set1_epi64(not_taken as i64);
-        let mut col = 0;
-        while col + 8 <= cols {
-            let w = load8(row, col);
-            let lo = _mm512_and_si512(w, lane);
-            let hi = _mm512_and_si512(_mm512_srli_epi64(w, 1), lane);
-            let hl = _mm512_and_si512(hi, lo);
-            // x * 7 == (x << 3) - x, as in the narrower bodies.
-            let sp_lo = _mm512_sub_epi64(_mm512_slli_epi64(lo, 3), lo);
-            let sp_hi = _mm512_sub_epi64(_mm512_slli_epi64(hi, 3), hi);
-            let sp_hl = _mm512_sub_epi64(_mm512_slli_epi64(hl, 3), hl);
-            let out = _mm512_xor_si512(
-                _mm512_xor_si512(load8(ct, col), _mm512_and_si512(load8(ct, cols + col), sp_lo)),
-                _mm512_xor_si512(
-                    _mm512_and_si512(load8(ct, 2 * cols + col), sp_hi),
-                    _mm512_and_si512(load8(ct, 3 * cols + col), sp_hl),
-                ),
-            );
-            store8(row, col, _mm512_and_si512(out, state_mask));
-            let occ = load8(pred_occ, col);
-            let correct = _mm512_srli_epi64(
-                _mm512_xor_si512(_mm512_and_si512(out, occ), _mm512_and_si512(occ, nt)),
-                2,
-            );
-            store8(acc, col, _mm512_add_epi64(load8(acc, col), correct));
-            col += 8;
-        }
-        if col + 4 <= cols {
-            let lane4 = _mm256_set1_epi64x(NIBBLE_LO as i64);
-            let state_mask4 = _mm256_set1_epi64x(NIBBLE_STATE as i64);
-            let nt4 = _mm256_set1_epi64x(not_taken as i64);
-            let w = load4(row, col);
-            let lo = _mm256_and_si256(w, lane4);
-            let hi = _mm256_and_si256(_mm256_srli_epi64(w, 1), lane4);
-            let hl = _mm256_and_si256(hi, lo);
-            let sp_lo = _mm256_sub_epi64(_mm256_slli_epi64(lo, 3), lo);
-            let sp_hi = _mm256_sub_epi64(_mm256_slli_epi64(hi, 3), hi);
-            let sp_hl = _mm256_sub_epi64(_mm256_slli_epi64(hl, 3), hl);
-            let out = _mm256_xor_si256(
-                _mm256_xor_si256(load4(ct, col), _mm256_and_si256(load4(ct, cols + col), sp_lo)),
-                _mm256_xor_si256(
-                    _mm256_and_si256(load4(ct, 2 * cols + col), sp_hi),
-                    _mm256_and_si256(load4(ct, 3 * cols + col), sp_hl),
-                ),
-            );
-            store4(row, col, _mm256_and_si256(out, state_mask4));
-            let occ = load4(pred_occ, col);
-            let correct = _mm256_srli_epi64(
-                _mm256_xor_si256(_mm256_and_si256(out, occ), _mm256_and_si256(occ, nt4)),
-                2,
-            );
-            store4(acc, col, _mm256_add_epi64(load4(acc, col), correct));
-            col += 4;
-        }
-        while col < cols {
-            step_col_swar(row, ct, pred_occ, not_taken, acc, cols, col);
-            col += 1;
-        }
-    }
-}
-
 /// A lane-transposed bank of equally-sized [`PackedPht`]s for the SWAR
 /// replay kernel: 4-bit lanes, 16 members per `u64`, one (or a few)
-/// words per table *row* — the dual of [`PackedPhtBank`]'s member-major
-/// interleave. A replayed event touches `ceil(members / 16)` words
+/// words per table *row*. A replayed event touches `ceil(members / 16)` words
 /// instead of one word per member, and one round of bit-sliced logic
 /// steps all 16 lanes of a word at once.
 ///
@@ -962,22 +496,12 @@ impl TransposedPhtBank {
     /// masked to the bank's width, see the type docs) through every
     /// member, adding each member's correct predictions to its
     /// [`TransposedPhtBank::counts`] slot. `mode` picks the kernel body;
-    /// every body is bit-identical.
+    /// both bodies are bit-identical.
     pub fn replay(&mut self, events: &[u32], mode: SimdMode) {
-        match mode.kernel() {
-            Kernel::Scalar => self.replay_scalar(events),
-            _ if self.kernel.cols == 1 => self.replay_swar1(events),
-            Kernel::Swar => self.replay_bitsliced(events, step_row_swar),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Sse2 => self.replay_bitsliced(events, x86::step_row_sse2_dyn),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => self.replay_bitsliced(events, x86::step_row_avx2_dyn),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => self.replay_bitsliced(events, x86::step_row_avx512_dyn),
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Sse2 | Kernel::Avx2 | Kernel::Avx512 => {
-                self.replay_bitsliced(events, step_row_swar)
-            }
+        match mode {
+            SimdMode::Scalar => self.replay_scalar(events),
+            SimdMode::Auto if self.kernel.cols == 1 => self.replay_swar1(events),
+            SimdMode::Auto => self.replay_bitsliced(events),
         }
     }
 
@@ -1030,13 +554,9 @@ impl TransposedPhtBank {
         }
     }
 
-    /// The general multi-column bit-sliced walk, parameterized over a
-    /// row-step body (portable / SSE2 / AVX2).
-    fn replay_bitsliced(
-        &mut self,
-        events: &[u32],
-        step: impl Fn(&mut [u64], &[u64], &[u64], u64, &mut [u64]),
-    ) {
+    /// The general multi-column bit-sliced walk, for banks of more than
+    /// 16 members.
+    fn replay_bitsliced(&mut self, events: &[u32]) {
         let cols = self.kernel.cols;
         for chunk in events.chunks(ACC_FLUSH_EVENTS) {
             for &event in chunk {
@@ -1044,7 +564,7 @@ impl TransposedPhtBank {
                 let not_taken = u64::from(event & 1).wrapping_sub(1);
                 let base = pattern * cols;
                 let ct = &self.kernel.coeff[(event as usize & 1) * 4 * cols..][..4 * cols];
-                step(
+                step_row_swar(
                     &mut self.words[base..base + cols],
                     ct,
                     &self.kernel.pred_occ,
@@ -1146,20 +666,10 @@ impl TransposedLanePhtBank {
     /// Panics if `events` and `lanes` differ in length.
     pub fn replay(&mut self, events: &[u32], lanes: &[u32], mode: SimdMode) {
         assert_eq!(events.len(), lanes.len(), "one lane selector per event");
-        match mode.kernel() {
-            Kernel::Scalar => self.replay_scalar(events, lanes),
-            _ if self.kernel.cols == 1 => self.replay_swar1(events, lanes),
-            Kernel::Swar => self.replay_bitsliced(events, lanes, step_row_swar),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Sse2 => self.replay_bitsliced(events, lanes, x86::step_row_sse2_dyn),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => self.replay_bitsliced(events, lanes, x86::step_row_avx2_dyn),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => self.replay_bitsliced(events, lanes, x86::step_row_avx512_dyn),
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Sse2 | Kernel::Avx2 | Kernel::Avx512 => {
-                self.replay_bitsliced(events, lanes, step_row_swar)
-            }
+        match mode {
+            SimdMode::Scalar => self.replay_scalar(events, lanes),
+            SimdMode::Auto if self.kernel.cols == 1 => self.replay_swar1(events, lanes),
+            SimdMode::Auto => self.replay_bitsliced(events, lanes),
         }
     }
 
@@ -1211,12 +721,7 @@ impl TransposedLanePhtBank {
         }
     }
 
-    fn replay_bitsliced(
-        &mut self,
-        events: &[u32],
-        lanes: &[u32],
-        step: impl Fn(&mut [u64], &[u64], &[u64], u64, &mut [u64]),
-    ) {
+    fn replay_bitsliced(&mut self, events: &[u32], lanes: &[u32]) {
         let cols = self.kernel.cols;
         for (echunk, lchunk) in events.chunks(ACC_FLUSH_EVENTS).zip(lanes.chunks(ACC_FLUSH_EVENTS))
         {
@@ -1228,7 +733,7 @@ impl TransposedLanePhtBank {
                 self.lane_table(lane as usize);
                 let table = &mut self.lanes[lane as usize];
                 let ct = &self.kernel.coeff[direction * 4 * cols..][..4 * cols];
-                step(
+                step_row_swar(
                     &mut table[base..base + cols],
                     ct,
                     &self.kernel.pred_occ,
@@ -1374,48 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn bank_matches_individual_packed_tables() {
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        // A mixed-automata bank, as the ablation sweeps build.
-        let mut tables: Vec<PackedPht> =
-            Automaton::ALL.iter().map(|&automaton| PackedPht::new(7, automaton)).collect();
-        let mut bank = PackedPhtBank::new(&tables);
-        assert_eq!(bank.members(), tables.len());
-        assert_eq!(bank.history_bits(), 7);
-        for _ in 0..4000 {
-            let r = next();
-            let pattern = (r as usize >> 8) & (tables[0].len() - 1);
-            let taken = r & 1 != 0;
-            let mut banked = Vec::new();
-            bank.predict_update_each(pattern, taken, |member, predicted| {
-                banked.push((member, predicted));
-            });
-            for (member, table) in tables.iter_mut().enumerate() {
-                assert_eq!(
-                    banked[member],
-                    (member, table.predict_update(pattern, taken)),
-                    "member {member} diverged at pattern {pattern}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "share one table geometry")]
-    fn bank_rejects_mixed_geometries() {
-        let _ = PackedPhtBank::new(&[
-            PackedPht::new(6, Automaton::A2),
-            PackedPht::new(8, Automaton::A2),
-        ]);
-    }
-
-    #[test]
     fn packed_pht_round_trips_preset_states() {
         // A PSg-style preset table: mixed 0/1 states under PresetBit.
         let mut pht = PatternHistoryTable::new(4, Automaton::PresetBit);
@@ -1449,14 +912,7 @@ mod tests {
         let _ = packed.state(4);
     }
 
-    const EVERY_MODE: [SimdMode; 6] = [
-        SimdMode::Auto,
-        SimdMode::Swar,
-        SimdMode::Scalar,
-        SimdMode::Sse2,
-        SimdMode::Avx2,
-        SimdMode::Avx512,
-    ];
+    const EVERY_MODE: [SimdMode; 2] = [SimdMode::Auto, SimdMode::Scalar];
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {
         let mut rng = seed;
@@ -1563,9 +1019,8 @@ mod tests {
 
     #[test]
     fn transposed_bank_wide_membership_spans_words() {
-        // 40 members = 3 columns: the SSE2 pair loop, the AVX2 quad loop
-        // and the portable tails all run (AVX-512's own quad mid step
-        // included — its 512-bit loop needs 8 columns, covered below).
+        // 40 members = 3 columns, the last one partly occupied: the
+        // multi-column SWAR walk runs instead of the one-word fast path.
         let tables: Vec<PackedPht> =
             (0..40).map(|i| PackedPht::new(5, Automaton::ALL[i % Automaton::ALL.len()])).collect();
         let events = random_events(5, 3000, 0x9e37_79b9_7f4a_7c15);
@@ -1583,9 +1038,9 @@ mod tests {
     }
 
     #[test]
-    fn transposed_bank_512bit_rows_agree_across_kernels() {
-        // 135 members = 9 columns: the AVX-512 8-column loop runs for
-        // real (plus its scalar tail), under every kernel body.
+    fn transposed_bank_nine_column_rows_agree_across_kernels() {
+        // 135 members = 9 columns: a long multi-column SWAR walk, under
+        // both kernel bodies.
         let tables: Vec<PackedPht> =
             (0..135).map(|i| PackedPht::new(4, Automaton::ALL[i % Automaton::ALL.len()])).collect();
         let events = random_events(4, 2000, 0x0bad_5eed_0bad_5eed);
@@ -1603,18 +1058,13 @@ mod tests {
     }
 
     #[test]
-    fn avx512_agrees_with_scalar_on_all_256_lane_inputs() {
-        // Per automaton, drive the real 512-bit body (8-column bank =
-        // 128 members) from every one of the 256 initial 4-lane state
-        // bytes — each byte's four 2-bit fields seed adjacent lanes, so
-        // every adjacent-state combination crosses every nibble boundary
-        // — and require bit-identity with the scalar reference. Skips
-        // (trivially passes) where the host lacks AVX-512: the forced
-        // mode then resolves to SWAR, which the other tests pin.
-        if SimdMode::Avx512.resolved_name() != "avx512" {
-            eprintln!("skipping: host lacks avx512f/avx512bw");
-            return;
-        }
+    fn multi_column_swar_agrees_with_scalar_on_all_256_lane_inputs() {
+        // Per automaton, drive the multi-column SWAR walk (8-column bank
+        // = 128 members, every lane populated) from every one of the 256
+        // initial 4-lane state bytes — each byte's four 2-bit fields seed
+        // adjacent lanes, so every adjacent-state combination crosses
+        // every nibble boundary — and require bit-identity with the
+        // scalar reference.
         for automaton in Automaton::ALL {
             for input in 0..=255u8 {
                 let tables: Vec<PackedPht> = (0..128)
@@ -1637,7 +1087,7 @@ mod tests {
                 let events: Vec<u32> =
                     (0..16u32).map(|e| ((e >> 1) & 0b11) << 1 | (e & 1)).collect();
                 let mut vector = TransposedPhtBank::new(&tables);
-                vector.replay(&events, SimdMode::Avx512);
+                vector.replay(&events, SimdMode::Auto);
                 let mut scalar = TransposedPhtBank::new(&tables);
                 scalar.replay(&events, SimdMode::Scalar);
                 assert_eq!(
@@ -1660,8 +1110,6 @@ mod tests {
 
     #[test]
     fn transposed_lane_bank_matches_per_lane_packed_tables() {
-        let templates: Vec<PackedPht> =
-            Automaton::ALL.iter().map(|&automaton| PackedPht::new(4, automaton)).collect();
         let mut next = xorshift(0x0123_4567_89ab_cdef);
         let mut events = Vec::new();
         let mut lanes = Vec::new();
@@ -1671,25 +1119,36 @@ mod tests {
             events.push(((r as u32 >> 8) & 0b11_1111) << 1 | (r as u32 & 1));
             lanes.push((r >> 40) as u32 % 7);
         }
-        let mut reference = vec![0u64; templates.len()];
-        let mut shadow: Vec<Vec<PackedPht>> = Vec::new();
-        for (&event, &lane) in events.iter().zip(&lanes) {
-            let lane = lane as usize;
-            if lane >= shadow.len() {
-                shadow.resize_with(lane + 1, || templates.clone());
+        // One column (the one-word fast path) and 40 members = 3 columns
+        // (the multi-column walk).
+        for members in [Automaton::ALL.len(), 40] {
+            let templates: Vec<PackedPht> = (0..members)
+                .map(|i| PackedPht::new(4, Automaton::ALL[i % Automaton::ALL.len()]))
+                .collect();
+            let mut reference = vec![0u64; templates.len()];
+            let mut shadow: Vec<Vec<PackedPht>> = Vec::new();
+            for (&event, &lane) in events.iter().zip(&lanes) {
+                let lane = lane as usize;
+                if lane >= shadow.len() {
+                    shadow.resize_with(lane + 1, || templates.clone());
+                }
+                let pattern = (event >> 1) as usize & 0b1111;
+                let taken = event & 1 != 0;
+                for (member, table) in shadow[lane].iter_mut().enumerate() {
+                    reference[member] += u64::from(table.predict_update(pattern, taken) == taken);
+                }
             }
-            let pattern = (event >> 1) as usize & 0b1111;
-            let taken = event & 1 != 0;
-            for (member, table) in shadow[lane].iter_mut().enumerate() {
-                reference[member] += u64::from(table.predict_update(pattern, taken) == taken);
+            for mode in EVERY_MODE {
+                let mut bank = TransposedLanePhtBank::new(&templates);
+                assert_eq!(bank.members(), templates.len());
+                assert_eq!(bank.history_bits(), 4);
+                bank.replay(&events, &lanes, mode);
+                assert_eq!(
+                    bank.counts(),
+                    &reference[..],
+                    "{mode:?} lane counts diverged with {members} members"
+                );
             }
-        }
-        for mode in EVERY_MODE {
-            let mut bank = TransposedLanePhtBank::new(&templates);
-            assert_eq!(bank.members(), templates.len());
-            assert_eq!(bank.history_bits(), 4);
-            bank.replay(&events, &lanes, mode);
-            assert_eq!(bank.counts(), &reference[..], "{mode:?} lane counts diverged");
         }
     }
 
@@ -1701,10 +1160,10 @@ mod tests {
             Automaton::FIGURE5.iter().map(|&automaton| PackedPht::new(6, automaton)).collect();
         let events = random_events(6, 2048, 0xdead_beef_cafe_f00d);
         let mut whole = TransposedPhtBank::new(&tables);
-        whole.replay(&events, SimdMode::Swar);
+        whole.replay(&events, SimdMode::Auto);
         let mut split = TransposedPhtBank::new(&tables);
         for block in events.chunks(97) {
-            split.replay(block, SimdMode::Swar);
+            split.replay(block, SimdMode::Auto);
         }
         assert_eq!(whole.counts(), split.counts());
     }

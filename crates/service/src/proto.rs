@@ -172,9 +172,6 @@ pub fn decode_frame(line: &str) -> Result<(FrameKind, &str), FrameError> {
 
     // The payload may contain spaces, so slice it by byte length; a
     // single space separates it from the checksum.
-    if rest.len() < len + 1 {
-        return Err(FrameError::Truncated);
-    }
     let (payload, tail) = rest.split_at_checked(len).ok_or(FrameError::Truncated)?;
     let sum_token = tail.strip_prefix(' ').ok_or(FrameError::Truncated)?;
     if sum_token.len() != 16 {

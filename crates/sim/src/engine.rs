@@ -442,12 +442,12 @@ pub struct ExecOptions {
     /// baseline and for the determinism suite's prefetch-vs-lazy case.
     pub prefetch: bool,
     /// Which body of the transposed replay kernel executes replay
-    /// batches. Defaults to the `TLABP_SIMD` environment variable
-    /// (itself defaulting to runtime feature detection); the bench
-    /// harness and the differential suites force specific bodies here
-    /// without mutating process environment. Every body is
-    /// bit-identical, so this is a throughput knob, never a results
-    /// knob.
+    /// batches: the portable SWAR body or the scalar reference loop.
+    /// Defaults to the `TLABP_SIMD` environment variable (itself
+    /// defaulting to SWAR); the bench harness and the differential
+    /// suites force the scalar body here without mutating process
+    /// environment. Both bodies are bit-identical, so this is a
+    /// throughput knob, never a results knob.
     pub simd: SimdMode,
     /// Intra-batch replay parallelism: whether (and how far) one
     /// transposed replay batch splits into sub-batches scheduled as
@@ -1045,11 +1045,10 @@ const MAX_FUSE_BATCH: usize = 16;
 /// entire scheme column — every width × automaton combination — into
 /// one group (e.g. 5 widths × 5 automata × {PAg, PAp} = 50 members on
 /// the shared paper-default BHT) and one batch walks the stream once
-/// for the whole column. The cap is sized so a same-width group can
-/// fill eight transposed words per PHT row — the AVX-512 body's full
-/// 512-bit step — while the intra-batch split (below) hands oversized
-/// batches to idle workers a word at a time, so a wide batch no longer
-/// costs latency on a multi-core host.
+/// for the whole column. The cap bounds a same-width group at eight
+/// transposed words per PHT row, while the intra-batch split (below)
+/// hands oversized batches to idle workers a word at a time, so a wide
+/// batch no longer costs latency on a multi-core host.
 const MAX_REPLAY_BATCH: usize = 128;
 
 /// Minimum replay work (stream events × batch members) per sub-batch

@@ -4,7 +4,7 @@ use tlabp_core::any::AnyPredictor;
 use tlabp_core::bht::{BhtConfig, BhtCursor, BhtSignature, BranchHistoryTable};
 use tlabp_core::config::{SchemeConfig, SchemeKind};
 use tlabp_core::history::HistoryRegister;
-use tlabp_core::pht::{PackedPht, PackedPhtBank, TransposedLanePhtBank, TransposedPhtBank};
+use tlabp_core::pht::{PackedPht, TransposedLanePhtBank, TransposedPhtBank};
 use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::simd::SimdMode;
 use tlabp_trace::io::ReadTraceError;
@@ -559,111 +559,6 @@ impl ReplayPht {
     }
 }
 
-/// Replays `predictor`'s second level over a materialized first-level
-/// stream, or returns `None` when the predictor has no replayable second
-/// level.
-///
-/// The caller must hand in a stream derived under the predictor's own
-/// [`StreamKey`] (checked by debug assertions on pattern width and
-/// lanedness). Given that, the walk is bit-identical to [`simulate`]
-/// without context switches — the stream *is* the first level's output,
-/// and the packed table transition equals
-/// [`tlabp_core::pht::PatternHistoryTable::predict_update`] on all
-/// inputs — which `tests/differential.rs` pins for every catalog scheme
-/// and every automaton.
-///
-/// Like the other fast paths, replay models no context switches.
-///
-/// # Example
-///
-/// ```
-/// use tlabp_core::config::SchemeConfig;
-/// use tlabp_sim::runner::{derive_pattern_stream, replay_stream_key, simulate_replay};
-/// use tlabp_trace::synth::LoopNest;
-/// use tlabp_trace::InternedConds;
-///
-/// let trace = LoopNest::new(&[50, 20]).generate();
-/// let interned = InternedConds::from_trace(&trace);
-/// let config = SchemeConfig::pag(6);
-/// let stream = derive_pattern_stream(&interned, replay_stream_key(config).unwrap());
-/// let predictor = config.build_any()?;
-/// let result = simulate_replay(&predictor, &stream).unwrap();
-/// assert!(result.accuracy() > 0.9);
-/// # Ok::<(), tlabp_core::config::BuildError>(())
-/// ```
-#[must_use]
-pub fn simulate_replay(predictor: &AnyPredictor, stream: &PatternStream) -> Option<SimResult> {
-    let correct = match ReplayPht::for_predictor(predictor)? {
-        ReplayPht::Single(mut pht) => replay_single(&mut pht, stream),
-        ReplayPht::PerLane { template } => replay_per_lane(&template, stream),
-    };
-    Some(SimResult {
-        scheme: predictor.name(),
-        predictions: stream.len() as u64,
-        correct,
-        context_switches: 0,
-    })
-}
-
-/// [`simulate_replay`] for a whole batch sharing one stream, in one pass:
-/// every event is decoded once and pushed through each member's packed
-/// table back to back, with the members' tables interleaved into one
-/// allocation ([`PackedPhtBank`]) so the batch's per-event traffic is
-/// contiguous instead of scattered across per-table buffers.
-///
-/// Returns `None` (and replays nobody) unless every member has a
-/// replayable second level. All members must be sized for the stream's
-/// pattern width — the same contract as [`simulate_replay`], which the
-/// engine guarantees by grouping batches per [`StreamKey`]. Per-lane
-/// members (PAp) take their own pass: their per-event table selection
-/// doesn't interleave with the shared single-table walk.
-#[must_use]
-pub fn simulate_replay_many(
-    predictors: &[AnyPredictor],
-    stream: &PatternStream,
-) -> Option<Vec<SimResult>> {
-    let phts: Vec<ReplayPht> =
-        predictors.iter().map(ReplayPht::for_predictor).collect::<Option<_>>()?;
-    let mut corrects = vec![0u64; phts.len()];
-    let mut single_indices: Vec<usize> = Vec::new();
-    let mut single_tables: Vec<PackedPht> = Vec::new();
-    for (index, pht) in phts.into_iter().enumerate() {
-        match pht {
-            ReplayPht::Single(pht) => {
-                single_indices.push(index);
-                single_tables.push(pht);
-            }
-            ReplayPht::PerLane { template } => {
-                corrects[index] = replay_per_lane(&template, stream);
-            }
-        }
-    }
-    match single_tables.as_mut_slice() {
-        [] => {}
-        [pht] => corrects[single_indices[0]] = replay_single(pht, stream),
-        _ => {
-            let mut bank = PackedPhtBank::new(&single_tables);
-            debug_assert_eq!(bank.history_bits(), stream.history_bits());
-            let banked = replay_bank(&mut bank, stream);
-            for (member, &index) in single_indices.iter().enumerate() {
-                corrects[index] = banked[member];
-            }
-        }
-    }
-    Some(
-        predictors
-            .iter()
-            .zip(corrects)
-            .map(|(predictor, correct)| SimResult {
-                scheme: predictor.name(),
-                predictions: stream.len() as u64,
-                correct,
-                context_switches: 0,
-            })
-            .collect(),
-    )
-}
-
 /// Events per block of the transposed walk: 2<sup>14</sup> events is a
 /// 64 KiB slice of the stream (plus 64 KiB of lanes when laned), so when
 /// several width-banks walk the same stream the slice stays cache-hot
@@ -671,10 +566,18 @@ pub fn simulate_replay_many(
 /// buffer once per bank.
 const REPLAY_BLOCK: usize = 1 << 14;
 
-/// The transposed, SWAR-vectorized form of [`simulate_replay_many`]:
-/// walks one materialized stream once, updating every member's
+/// Replays a batch of predictors' second levels over one materialized
+/// first-level stream: walks the stream once, updating every member's
 /// bit-sliced second level in the same pass through
 /// [`TransposedPhtBank`] / [`TransposedLanePhtBank`].
+///
+/// The caller must hand in a stream derived under a [`StreamKey`] of
+/// the members' fold class (see below). Given that, each member's walk
+/// is bit-identical to [`simulate`] without context switches — the
+/// stream *is* the first level's output, and the bank's transition
+/// equals [`tlabp_core::pht::PatternHistoryTable::predict_update`] on
+/// all inputs. Like the other fast paths, replay models no context
+/// switches.
 ///
 /// Members are grouped by PHT width — one transposed bank per distinct
 /// width — and widths *narrower than the stream* are welcome: each
@@ -689,9 +592,28 @@ const REPLAY_BLOCK: usize = 1 << 14;
 /// Returns `None` (and replays nobody) unless every member has a
 /// replayable second level; members wider than the stream are a caller
 /// bug (debug-asserted). Per-lane members (PAp) additionally require a
-/// laned stream. Bit-identical to per-member [`simulate_replay`] on the
-/// member's own-width stream for every kernel `mode` — pinned by
-/// `tests/differential.rs`.
+/// laned stream. Bit-identical to [`simulate_packed`] on every member,
+/// for both kernel `mode`s — pinned by `tests/differential.rs` for every
+/// catalog scheme and every automaton.
+///
+/// # Example
+///
+/// ```
+/// use tlabp_core::config::SchemeConfig;
+/// use tlabp_core::SimdMode;
+/// use tlabp_sim::runner::{derive_pattern_stream, replay_stream_key, simulate_replay_transposed};
+/// use tlabp_trace::synth::LoopNest;
+/// use tlabp_trace::InternedConds;
+///
+/// let trace = LoopNest::new(&[50, 20]).generate();
+/// let interned = InternedConds::from_trace(&trace);
+/// let config = SchemeConfig::pag(6);
+/// let stream = derive_pattern_stream(&interned, replay_stream_key(config).unwrap());
+/// let predictors = [config.build_any()?];
+/// let results = simulate_replay_transposed(&predictors, &stream, SimdMode::Auto).unwrap();
+/// assert!(results[0].accuracy() > 0.9);
+/// # Ok::<(), tlabp_core::config::BuildError>(())
+/// ```
 #[must_use]
 pub fn simulate_replay_transposed(
     predictors: &[AnyPredictor],
@@ -850,79 +772,6 @@ impl TransposedBanks {
     }
 }
 
-/// Walks an interleaved bank over the stream; returns each member's
-/// correct-prediction count in member order. Common batch widths
-/// dispatch to a monomorphized walk whose member loop is fully unrolled;
-/// anything wider falls back to the dynamic loop.
-fn replay_bank(bank: &mut PackedPhtBank, stream: &PatternStream) -> Vec<u64> {
-    fn fixed<const N: usize>(bank: &mut PackedPhtBank, stream: &PatternStream) -> Vec<u64> {
-        let mut corrects = [0u64; N];
-        for &event in stream.events() {
-            let taken = PatternStream::event_taken(event);
-            bank.predict_update_count_fixed(
-                PatternStream::event_pattern(event),
-                taken,
-                &mut corrects,
-            );
-        }
-        corrects.to_vec()
-    }
-    match bank.members() {
-        2 => fixed::<2>(bank, stream),
-        3 => fixed::<3>(bank, stream),
-        4 => fixed::<4>(bank, stream),
-        5 => fixed::<5>(bank, stream),
-        6 => fixed::<6>(bank, stream),
-        7 => fixed::<7>(bank, stream),
-        8 => fixed::<8>(bank, stream),
-        members => {
-            let mut corrects = vec![0u64; members];
-            for &event in stream.events() {
-                let taken = PatternStream::event_taken(event);
-                bank.predict_update_count(
-                    PatternStream::event_pattern(event),
-                    taken,
-                    &mut corrects,
-                );
-            }
-            corrects
-        }
-    }
-}
-
-/// Walks one shared packed table over the stream; returns the number of
-/// correct predictions.
-fn replay_single(pht: &mut PackedPht, stream: &PatternStream) -> u64 {
-    debug_assert_eq!(pht.history_bits(), stream.history_bits());
-    let mut correct = 0u64;
-    for &event in stream.events() {
-        let taken = PatternStream::event_taken(event);
-        let predicted = pht.predict_update(PatternStream::event_pattern(event), taken);
-        correct += u64::from(predicted == taken);
-    }
-    correct
-}
-
-/// Walks lane-selected packed tables over the stream, materializing each
-/// lane's table from the template on first use; returns the number of
-/// correct predictions.
-fn replay_per_lane(template: &PackedPht, stream: &PatternStream) -> u64 {
-    debug_assert_eq!(template.history_bits(), stream.history_bits());
-    debug_assert!(stream.is_laned(), "per-lane replay needs a BHT-derived stream");
-    let mut correct = 0u64;
-    let mut tables: Vec<PackedPht> = Vec::new();
-    for (&event, &lane) in stream.events().iter().zip(stream.lanes()) {
-        let lane = lane as usize;
-        if lane >= tables.len() {
-            tables.resize(lane + 1, template.clone());
-        }
-        let taken = PatternStream::event_taken(event);
-        let predicted = tables[lane].predict_update(PatternStream::event_pattern(event), taken);
-        correct += u64::from(predicted == taken);
-    }
-    correct
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,10 +926,11 @@ mod tests {
             let stream = derive_pattern_stream(&interned, key);
             assert_eq!(stream.len(), interned.len());
             let predictor = config.build_any().expect("builds");
-            let replayed = simulate_replay(&predictor, &stream).expect("replayable");
+            let replayed =
+                simulate_replay_transposed(&[predictor], &stream, SimdMode::Auto).expect("replays");
             let mut alone = config.build_any().expect("builds");
             let reference = simulate_packed(&mut alone, &packed);
-            assert_eq!(replayed, reference, "{config}");
+            assert_eq!(replayed, [reference], "{config}");
         }
     }
 
@@ -1092,7 +942,7 @@ mod tests {
         assert!(replay_stream_key(SchemeConfig::btb(Automaton::A2)).is_none());
         let predictor = SchemeConfig::btfn().build_any().expect("builds");
         let stream = PatternStream::new(4, false);
-        assert!(simulate_replay(&predictor, &stream).is_none());
+        assert!(simulate_replay_transposed(&[predictor], &stream, SimdMode::Auto).is_none());
     }
 
     #[test]
@@ -1187,16 +1037,16 @@ mod tests {
     }
 
     /// Transposed replay over a *wider* shared stream must equal each
-    /// member's own-width replay — the fold group contract.
+    /// member's packed fast-path run — the fold group contract.
     #[test]
-    fn transposed_replay_matches_per_member_replay_across_widths() {
+    fn transposed_replay_matches_per_member_packed_across_widths() {
         use tlabp_core::config::SchemeConfig;
-        use tlabp_core::SimdMode;
         use tlabp_trace::synth::MarkovBranches;
         use tlabp_trace::InternedConds;
 
         let trace = MarkovBranches::new(24, 0.8, 5000, 3).generate();
-        let interned = InternedConds::from_packed(&trace.pack_conditionals());
+        let packed = trace.pack_conditionals();
+        let interned = InternedConds::from_packed(&packed);
         let cases: [(&[SchemeConfig], StreamKey); 2] = [
             (
                 &[
@@ -1222,15 +1072,14 @@ mod tests {
             let shared = derive_pattern_stream(&interned, rep_key);
             let predictors: Vec<AnyPredictor> =
                 configs.iter().map(|c| c.build_any().expect("builds")).collect();
-            for mode in [SimdMode::Auto, SimdMode::Swar, SimdMode::Scalar] {
+            for mode in [SimdMode::Auto, SimdMode::Scalar] {
                 let transposed =
                     simulate_replay_transposed(&predictors, &shared, mode).expect("replayable");
                 for (config, result) in configs.iter().zip(&transposed) {
                     let own_key = replay_stream_key(*config).expect("two-level");
                     assert_eq!(own_key.fold_key(), rep_key.fold_key());
-                    let own_stream = derive_pattern_stream(&interned, own_key);
-                    let predictor = config.build_any().expect("builds");
-                    let own = simulate_replay(&predictor, &own_stream).expect("replayable");
+                    let mut alone = config.build_any().expect("builds");
+                    let own = simulate_packed(&mut alone, &packed);
                     assert_eq!(result, &own, "{config} under {mode:?}");
                 }
             }
@@ -1240,7 +1089,6 @@ mod tests {
     #[test]
     fn transposed_replay_refuses_non_replayable_members() {
         use tlabp_core::config::SchemeConfig;
-        use tlabp_core::SimdMode;
         let predictors = vec![
             SchemeConfig::gag(6).build_any().expect("builds"),
             SchemeConfig::btfn().build_any().expect("builds"),

@@ -235,7 +235,7 @@ fn fused_outcomes_are_independent_of_batch_composition() {
 fn replay_is_bit_identical_for_every_scheme_and_automaton() {
     use tlabp::core::SimdMode;
     use tlabp::sim::runner::{
-        derive_pattern_stream, replay_stream_key, simulate_replay, simulate_replay_transposed,
+        derive_pattern_stream, replay_stream_key, simulate_replay_transposed,
     };
     use tlabp::trace::InternedConds;
 
@@ -261,42 +261,25 @@ fn replay_is_bit_identical_for_every_scheme_and_automaton() {
         for &config in &configs {
             let key = replay_stream_key(config).expect("catalog scheme has a stream key");
             let stream = derive_pattern_stream(&interned, key);
-            let predictor = if config.needs_training() {
-                config.build_any_trained(&training)
-            } else {
-                config.build_any().expect("builds")
-            };
-            let replayed =
-                simulate_replay(&predictor, &stream).expect("catalog scheme has a replay PHT");
-
-            // Every body of the transposed SWAR kernel reproduces the
-            // sequential replay bit for bit — scheme × automaton × trace.
-            for mode in
-                [SimdMode::Swar, SimdMode::Scalar, SimdMode::Sse2, SimdMode::Avx2, SimdMode::Avx512]
-            {
-                let member = if config.needs_training() {
+            let build = || {
+                if config.needs_training() {
                     config.build_any_trained(&training)
                 } else {
                     config.build_any().expect("builds")
-                };
-                let transposed = simulate_replay_transposed(&[member], &stream, mode)
+                }
+            };
+            let packed_result = simulate_packed(&mut build(), &trace.pack_conditionals());
+
+            // Both bodies of the transposed kernel reproduce the packed
+            // fast path bit for bit — scheme × automaton × trace.
+            for mode in [SimdMode::Auto, SimdMode::Scalar] {
+                let transposed = simulate_replay_transposed(&[build()], &stream, mode)
                     .expect("catalog scheme has a replay PHT");
                 assert_eq!(
-                    transposed[0], replayed,
-                    "transposed {mode:?} vs replay diverged for {config} on {trace_name}"
+                    transposed[0], packed_result,
+                    "transposed {mode:?} vs packed diverged for {config} on {trace_name}"
                 );
             }
-
-            let mut packed = if config.needs_training() {
-                config.build_any_trained(&training)
-            } else {
-                config.build_any().expect("builds")
-            };
-            let packed_result = simulate_packed(&mut packed, &trace.pack_conditionals());
-            assert_eq!(
-                replayed, packed_result,
-                "replay vs packed diverged for {config} on {trace_name}"
-            );
 
             let mut boxed = if config.needs_training() {
                 config.build_trained(&training)
@@ -305,8 +288,8 @@ fn replay_is_bit_identical_for_every_scheme_and_automaton() {
             };
             let dyn_result = simulate(&mut *boxed, &trace, &sim);
             assert_eq!(
-                replayed, dyn_result,
-                "replay vs reference diverged for {config} on {trace_name}"
+                packed_result, dyn_result,
+                "packed vs reference diverged for {config} on {trace_name}"
             );
         }
     }
@@ -383,8 +366,8 @@ fn packed_lut_matches_automaton_on_all_256_inputs() {
     }
 }
 
-/// Every body of the transposed SWAR kernel — portable u64, forced
-/// SSE2/AVX2, and the scalar transposed loop — agrees with
+/// Both bodies of the transposed kernel — portable u64 SWAR and the
+/// scalar transposed loop — agree with
 /// `Automaton::update` / `Automaton::predict` on all 256 (state, taken)
 /// transition inputs, for every automaton: a one-member bank stepped
 /// through each input singly must land in the reference next state and
@@ -400,14 +383,7 @@ fn transposed_kernels_match_automaton_on_all_256_inputs() {
         for index in 0..256usize {
             let taken = index & 1 != 0;
             let state = State::new(((index >> 1) as u8) & mask);
-            for mode in [
-                SimdMode::Auto,
-                SimdMode::Swar,
-                SimdMode::Scalar,
-                SimdMode::Sse2,
-                SimdMode::Avx2,
-                SimdMode::Avx512,
-            ] {
+            for mode in [SimdMode::Auto, SimdMode::Scalar] {
                 let mut table = PackedPht::new(1, automaton);
                 table.set_state(0, state);
                 table.set_state(1, state);
@@ -432,8 +408,8 @@ fn transposed_kernels_match_automaton_on_all_256_inputs() {
 /// Fig. 8 design-space artifact, where the engine's fold grouping packs
 /// entire width × automaton columns into single transposed batches over
 /// one shared stream — is lowering-invariant: the SWAR kernel, the
-/// scalar kernel, the auto-detected kernel and fused execution with
-/// replay disabled all agree job for job.
+/// scalar kernel, the kernel `TLABP_SIMD` selects and fused execution
+/// with replay disabled all agree job for job.
 #[test]
 fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
     use tlabp::core::SimdMode;
@@ -459,7 +435,7 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
     let fused: Plan = jobs.iter().map(|job| job.clone().with_replay(false)).collect();
 
     let store = TraceStore::from_env();
-    let auto = execute(&plan, &store);
+    let env = execute(&plan, &store);
     let fused_out = execute(&fused, &store);
     let kernel = |simd| {
         execute_with(
@@ -469,7 +445,7 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
             ExecOptions { simd, ..ExecOptions::default() },
         )
     };
-    let swar = kernel(SimdMode::Swar);
+    let swar = kernel(SimdMode::Auto);
     let scalar = kernel(SimdMode::Scalar);
     for (index, job) in jobs.iter().enumerate() {
         let label = job.label();
@@ -481,8 +457,8 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
         );
         assert_eq!(
             swar.outcome(index),
-            auto.outcome(index),
-            "swar vs auto diverged for {label} on {benchmark}"
+            env.outcome(index),
+            "swar vs TLABP_SIMD kernel diverged for {label} on {benchmark}"
         );
         assert_eq!(
             swar.outcome(index),

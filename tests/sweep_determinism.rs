@@ -154,9 +154,9 @@ fn cold_store_prefetch_matches_lazy_across_pool_sizes() {
     assert_eq!(lazy, prefetched, "prefetch changed the engine output");
 }
 
-/// Satellite: forcing any `TLABP_SIMD` kernel body through
-/// `ExecOptions::simd` is a throughput knob only — every body must
-/// produce bit-identical `ResultSet`s, across pool sizes, on a plan
+/// Forcing either `TLABP_SIMD` kernel body through `ExecOptions::simd`
+/// is a throughput knob only — both bodies must produce bit-identical
+/// `ResultSet`s, across pool sizes, on a plan
 /// mixing replay-lowered width/automaton variants with non-replay jobs.
 #[test]
 fn forced_simd_paths_are_bit_identical_across_pool_sizes() {
@@ -189,22 +189,24 @@ fn forced_simd_paths_are_bit_identical_across_pool_sizes() {
         ExecOptions { simd: SimdMode::Scalar, ..ExecOptions::default() },
     );
     assert_eq!(baseline.len(), plan.len());
-    for simd in [SimdMode::Auto, SimdMode::Swar, SimdMode::Sse2, SimdMode::Avx2, SimdMode::Avx512] {
-        for workers in [1, 8] {
-            let pool = SweepPool::new(workers);
-            let run =
-                execute_with(&pool, &plan, &store, ExecOptions { simd, ..ExecOptions::default() });
-            assert_eq!(baseline, run, "{simd:?} on {workers} workers diverged from scalar");
-        }
+    for workers in [1, 8] {
+        let pool = SweepPool::new(workers);
+        let run = execute_with(
+            &pool,
+            &plan,
+            &store,
+            ExecOptions { simd: SimdMode::Auto, ..ExecOptions::default() },
+        );
+        assert_eq!(baseline, run, "SWAR on {workers} workers diverged from scalar");
     }
 }
 
-/// Satellite: crossing a forced kernel with a pool size and a forced
-/// intra-batch split must still be a scheduling/throughput change only.
-/// A wide replay batch (many members per stream) is split into
-/// word-granular sub-batches scattered across workers; the merged
-/// `ResultSet` has to stay bit-identical to the scalar, unsplit,
-/// single-worker run for every (kernel, pool, split) combination.
+/// Crossing the SWAR kernel with a pool size and a forced intra-batch
+/// split must still be a scheduling/throughput change only. A wide
+/// replay batch (many members per stream) is split into word-granular
+/// sub-batches scattered across workers; the merged `ResultSet` has to
+/// stay bit-identical to the scalar, unsplit, single-worker run for
+/// every (pool, split) combination.
 #[test]
 fn forced_kernel_pool_and_split_cross_is_bit_identical() {
     use tlabp::core::SimdMode;
@@ -234,21 +236,19 @@ fn forced_kernel_pool_and_split_cross_is_bit_identical() {
         ExecOptions { simd: SimdMode::Scalar, split: SplitPolicy::Off, ..ExecOptions::default() },
     );
     assert_eq!(baseline.len(), plan.len());
-    for simd in [SimdMode::Swar, SimdMode::Avx2, SimdMode::Avx512] {
-        for workers in [1, 2, 4] {
-            for split in [SplitPolicy::Off, SplitPolicy::Auto, SplitPolicy::Parts(3)] {
-                let pool = SweepPool::new(workers);
-                let run = execute_with(
-                    &pool,
-                    &plan,
-                    &store,
-                    ExecOptions { simd, split, ..ExecOptions::default() },
-                );
-                assert_eq!(
-                    baseline, run,
-                    "{simd:?} x {workers} workers x {split:?} diverged from scalar/unsplit"
-                );
-            }
+    for workers in [1, 2, 4] {
+        for split in [SplitPolicy::Off, SplitPolicy::Auto, SplitPolicy::Parts(3)] {
+            let pool = SweepPool::new(workers);
+            let run = execute_with(
+                &pool,
+                &plan,
+                &store,
+                ExecOptions { simd: SimdMode::Auto, split, ..ExecOptions::default() },
+            );
+            assert_eq!(
+                baseline, run,
+                "SWAR x {workers} workers x {split:?} diverged from scalar/unsplit"
+            );
         }
     }
 }

@@ -152,6 +152,14 @@ fn truncated_frames_are_rejected_at_every_boundary() {
             );
         }
     }
+    // A length token far past the line's end — up to `usize::MAX`, where
+    // sizing the payload must not overflow — reads as truncated.
+    let fields: Vec<&str> = frames[1].splitn(5, ' ').collect();
+    let [magic, version, kind, _, body] = fields[..] else { panic!("five frame fields") };
+    for len in [body.len(), usize::MAX] {
+        let frame = format!("{magic} {version} {kind} {len} {body}");
+        assert_eq!(decode_frame(&frame), Err(FrameError::Truncated), "length {len}");
+    }
 }
 
 /// Every single-byte substitution of a valid frame is rejected: either
