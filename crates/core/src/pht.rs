@@ -430,7 +430,7 @@ fn step_row_scalar(row: &mut [u64], luts: &[u32], taken: bool, counts: &mut [u64
 /// Prediction *counting* is bit-sliced too: bit 2 of each advanced
 /// nibble (λ of the pre-update state, xored with the event's direction)
 /// lands in a per-column nibble accumulator, flushed to 64-bit
-/// per-member counters every [`ACC_FLUSH_EVENTS`] events.
+/// per-member counters every `ACC_FLUSH_EVENTS` events.
 #[derive(Debug)]
 pub struct TransposedPhtBank {
     history_bits: u32,

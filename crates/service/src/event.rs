@@ -6,17 +6,17 @@
 //! hostile to hundreds of sweep clients. This module replaces it with a
 //! readiness loop:
 //!
-//! * **One I/O thread** runs a level-triggered [`Poller`] — `epoll` on
+//! * **One I/O thread** runs a level-triggered `Poller` — `epoll` on
 //!   Linux, portable `poll(2)` everywhere else on unix — over the
 //!   listener, a self-pipe waker, and every client socket, all
 //!   nonblocking. The two syscall shims are the only unsafe code in the
 //!   crate, confined to the `sys` module.
-//! * **Per-connection state machines** ([`Conn`]) reassemble frames
+//! * **Per-connection state machines** (`Conn`) reassemble frames
 //!   from arbitrarily fragmented reads
-//!   ([`FrameAssembler`](crate::proto::FrameAssembler), hard-capped at
-//!   [`MAX_FRAME_BYTES`] per frame) and stage responses through a
+//!   ([`crate::proto::FrameAssembler`], hard-capped at
+//!   `MAX_FRAME_BYTES` per frame) and stage responses through a
 //!   bounded output buffer: response bytes stop being generated past
-//!   [`OUT_HIGH`] until the socket drains, so a slow reader holds
+//!   `OUT_HIGH` until the socket drains, so a slow reader holds
 //!   buffers, not threads.
 //! * **A small executor pool** (sized off the global
 //!   [`SweepPool`](tlabp_sim::SweepPool)) runs admitted plans through
@@ -32,7 +32,7 @@
 //!
 //! The accept loop survives resource exhaustion: a failing `accept`
 //! (EMFILE and friends) suspends the listener with exponential backoff
-//! ([`next_backoff`]) instead of spinning hot, counts the error, and
+//! (`next_backoff`) instead of spinning hot, counts the error, and
 //! resumes serving established connections meanwhile.
 
 use std::collections::{HashMap, VecDeque};

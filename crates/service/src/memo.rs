@@ -38,7 +38,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tlabp_sim::plan::Plan;
-use tlabp_trace::io::{checksum, read_memo, write_file_atomic, write_memo, FileLock, MemoArtifact};
+use tlabp_trace::io::{
+    checksum, read_memo, write_file_atomic, write_memo, FileLock, MemoArtifact, ReadTraceError,
+};
 use tlabp_workloads::{Benchmark, DataSet};
 
 /// A memoized response: the pre-encoded `result` frame payloads, in
@@ -283,6 +285,8 @@ impl MemoDisk {
             let Ok(bytes) = std::fs::read(&path) else { continue };
             let artifact = match read_memo(&bytes) {
                 Ok(artifact) => artifact,
+                // Another memo format version: stale, not corrupt.
+                Err(ReadTraceError::UnsupportedVersion { .. }) => continue,
                 Err(err) => {
                     eprintln!("warning: ignoring corrupt memo artifact {} ({err})", path.display());
                     continue;

@@ -2,7 +2,7 @@
 //!
 //! One [`SweepServer`] owns the warm state every connection shares — a
 //! single [`TraceStore`] (traces generate once, ever), the global
-//! [`SweepPool`](tlabp_sim::SweepPool) (simulation work from all clients
+//! [`SweepPool`] (simulation work from all clients
 //! interleaves on one fixed set of worker threads, which is what makes
 //! admission fair: a second client's jobs enqueue behind — not after —
 //! the first client's, draining in bounded windows rather than whole
@@ -453,7 +453,7 @@ impl SweepServer {
 
     /// Serves forever on the configured backend. Simulation work always
     /// funnels through the one global
-    /// [`SweepPool`](tlabp_sim::SweepPool), so concurrent clients share
+    /// [`SweepPool`], so concurrent clients share
     /// the worker threads fairly instead of multiplying them; on the
     /// event backends the *connection* threads are fixed too.
     pub fn run(&self) -> ! {

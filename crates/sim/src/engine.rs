@@ -19,28 +19,33 @@
 //!   variants alike never re-walk the BHT or even re-read the stream.
 //!   The kernel body is selectable ([`ExecOptions::simd`], default the
 //!   `TLABP_SIMD` environment variable). Bit-identical to every other
-//!   path and on by default; [`Job::replay`] opts a job out.
+//!   path and on by default; [`Job::replay`] opts a job out. Replay
+//!   models no context switches: a switching job never lowers here.
 //! * **packed** — monomorphized [`AnyPredictor`] over the packed
 //!   conditional-branch stream ([`crate::runner::simulate_packed`]);
-//!   chosen for catalog schemes whenever no context switches are
-//!   simulated. Packed-path jobs that share a trace are additionally
-//!   **fused**: the engine groups them by [`TraceKey`] and runs each
-//!   group as batched single passes over the pc-interned stream
+//!   chosen for every other job. Packed-path jobs that share a trace
+//!   and a context-switch model are additionally **fused**: the engine
+//!   groups them by ([`TraceKey`], [`SimConfig`]) and runs each group
+//!   as batched single passes over the pc-interned stream
 //!   ([`crate::runner::simulate_fused`]), amortizing stream decode and
 //!   dispatch across the batch. Bit-identical to per-cell execution and
-//!   on by default; [`Job::fuse`] opts a job out.
-//! * **full-trace** — [`AnyPredictor`] over the full event trace
-//!   ([`crate::runner::simulate`]); chosen when context switches are
-//!   simulated (the packed stream carries no traps or instruction
-//!   counts).
+//!   on by default; [`Job::fuse`] opts a job out. Context switches are
+//!   a *schedule* on this path, not a path of their own: when they
+//!   fire depends only on the trace, so a switching job's cell (or
+//!   fused batch) derives the trace's [`switch_schedule`] from the full
+//!   trace and the loop flushes the first level at each switch point.
 //! * **dyn** — predictors outside the catalog, registered in
 //!   [`tlabp_core::registry`] and referenced by name, run behind
-//!   [`AnyPredictor::Dyn`] on either stream. One virtual dispatch per
-//!   call, paid only by externally-registered schemes.
+//!   [`AnyPredictor::Dyn`] on the packed or interned stream. One
+//!   virtual dispatch per call, paid only by externally-registered
+//!   schemes.
 //! * **reference** — a boxed `dyn BranchPredictor` over the full event
-//!   trace, bypassing every fast path. Never chosen by lowering; jobs
-//!   opt in ([`Job::reference_path`]) for differential testing and as
-//!   the throughput harness baseline.
+//!   trace ([`crate::runner::simulate`]), bypassing every fast path.
+//!   Never chosen by lowering; jobs opt in ([`Job::reference_path`])
+//!   for differential testing and as the throughput harness baseline.
+//!
+//! Instrumented metrics ([`MetricSet`]) run on every path, with the
+//! job's switch schedule, through dedicated loops over the full trace.
 //!
 //! Execution runs every cell on a [`SweepPool`] (idle workers pull the
 //! next cell as they finish) after pre-generating each distinct trace
@@ -87,7 +92,8 @@ use crate::plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey
 use crate::pool::SweepPool;
 use crate::runner::{
     replay_stream_key, simulate, simulate_fused, simulate_packed, simulate_replay_transposed,
-    simulate_replay_transposed_streamed, FoldKey, SimConfig, SimResult, StreamKey,
+    simulate_replay_transposed_streamed, switch_count, switch_due, switch_schedule,
+    ContextSwitchConfig, FoldKey, SimConfig, SimResult, StreamKey,
 };
 use crate::stream::stream_bytes_from_env;
 use crate::suite::TraceStore;
@@ -471,7 +477,7 @@ impl Default for ExecOptions {
 pub enum SplitPolicy {
     /// Split by the work heuristic: up to one sub-batch per pool worker,
     /// never below one transposed word of members per sub-batch, and
-    /// never below [`SPLIT_UNIT`] member-events of work per sub-batch
+    /// never below `SPLIT_UNIT` member-events of work per sub-batch
     /// when the batch's stream is already resident to measure.
     #[default]
     Auto,
@@ -1180,12 +1186,14 @@ struct Partition {
 /// cells group by `(trace, fold class)` — the width-*erased*
 /// [`StreamKey::fold_key`] — so automaton ablations *and* width variants
 /// of one first-level mechanism share a batch; fusible cells group by
-/// trace; everything else runs alone. Groups form in first-seen plan
+/// `(trace, context-switch model)`, so a batch shares one switch
+/// schedule; everything else runs alone. Groups form in first-seen plan
 /// order and split into nearly-even contiguous batches, so the partition
 /// is a pure function of the plan.
 fn partition_batches(lowered: &[Lowered]) -> Partition {
     let mut singles: Vec<usize> = Vec::new();
-    let mut fused_of: HashMap<(&'static str, DataSet), usize> = HashMap::new();
+    let mut fused_of: HashMap<(&'static str, DataSet, Option<ContextSwitchConfig>), usize> =
+        HashMap::new();
     let mut fused: Vec<Vec<usize>> = Vec::new();
     let mut replay_of: HashMap<(&'static str, DataSet, FoldKey), usize> = HashMap::new();
     let mut replay: Vec<Vec<usize>> = Vec::new();
@@ -1199,7 +1207,7 @@ fn partition_batches(lowered: &[Lowered]) -> Partition {
             });
             replay[group].push(index);
         } else if cell.fusible() {
-            let key = (cell.trace.benchmark.name(), cell.trace.data_set);
+            let key = (cell.trace.benchmark.name(), cell.trace.data_set, cell.sim.context_switch);
             let group = *fused_of.entry(key).or_insert_with(|| {
                 fused.push(Vec::new());
                 fused.len() - 1
@@ -1228,13 +1236,14 @@ fn replay_rep_key(keys: impl Iterator<Item = StreamKey>) -> StreamKey {
 
 /// Runs one fused batch on a worker thread: a single pass over the
 /// trace's interned conditional stream stepping every predictor of the
-/// batch ([`simulate_fused`]).
+/// batch ([`simulate_fused`]) under the batch's shared switch schedule.
 fn run_fused_batch(batch: Vec<(usize, Cell)>, store: &TraceStore) -> Vec<(usize, JobOutcome)> {
     let trace = batch[0].1.trace;
+    let switches = batch[0].1.switch_schedule(store);
     let interned = store.get_interned(trace.benchmark, trace.data_set);
     let mut predictors: Vec<AnyPredictor> =
         batch.iter().map(|(_, cell)| cell.build.build_any(store, cell.trace)).collect();
-    let sims = simulate_fused(&mut predictors, &interned);
+    let sims = simulate_fused(&mut predictors, &interned, &switches);
     batch
         .into_iter()
         .zip(sims)
@@ -1340,10 +1349,9 @@ impl BuildSpec {
 /// Which simulation loop a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ExecPath {
-    /// Packed conditional stream, fused `step` loop.
+    /// Packed (or interned) conditional stream, fused `step` loop,
+    /// context switches applied as a schedule.
     Packed,
-    /// Full event trace with context-switch modeling.
-    FullTrace,
     /// Boxed `dyn` predictor over the full event trace (opt-in only).
     Reference,
 }
@@ -1381,12 +1389,20 @@ impl Cell {
     }
 
     /// Whether the engine may run this cell inside a fused trace pass:
-    /// the packed path (full-trace and reference cells step events the
-    /// interned stream can't represent), accuracy-only metrics (the
-    /// instrumented loops observe predictor internals per event), and
-    /// the job's consent ([`Job::fuse`]).
+    /// the packed path (reference cells step the full trace by
+    /// definition), accuracy-only metrics (the instrumented loops
+    /// observe predictor internals per event), and the job's consent
+    /// ([`Job::fuse`]).
     fn fusible(&self) -> bool {
         self.fuse && self.path == ExecPath::Packed && self.metrics == MetricSet::ACCURACY
+    }
+
+    /// The cell's [`switch_schedule`], derived from the full trace the
+    /// store holds; empty when the job simulates no context switches.
+    fn switch_schedule(&self, store: &TraceStore) -> Vec<(usize, u32)> {
+        self.sim.context_switch.map_or_else(Vec::new, |config| {
+            switch_schedule(&store.get(self.trace.benchmark, self.trace.data_set), config)
+        })
     }
 
     /// The deepest trace form this cell reads.
@@ -1439,24 +1455,20 @@ fn lower(job: &Job) -> Lowered {
         }
     }
 
-    let path = if job.reference_path {
-        ExecPath::Reference
-    } else if sim.context_switch.is_none() {
-        ExecPath::Packed
-    } else {
-        ExecPath::FullTrace
-    };
+    let path = if job.reference_path { ExecPath::Reference } else { ExecPath::Packed };
 
     // Pattern-stream replay: a fusion-eligible catalog scheme whose first
     // level maps to a stream key replays the materialized stream instead
     // of walking it. The fusion-eligibility gate keeps `with_fusion(false)`
     // meaning "per-cell packed path" (the throughput baselines) and
-    // `with_replay(false)` meaning "PR 3 fused path".
+    // `with_replay(false)` meaning "fused path". Streams carry no switch
+    // points, so switching jobs fuse instead.
     let replay = match &job.spec {
         PredictorSpec::Scheme(config)
             if job.replay
                 && job.fuse
                 && path == ExecPath::Packed
+                && sim.context_switch.is_none()
                 && job.metrics == MetricSet::ACCURACY =>
         {
             replay_stream_key(*config)
@@ -1477,54 +1489,46 @@ fn lower(job: &Job) -> Lowered {
 
 /// Runs one lowered cell on a worker thread.
 fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
-    if cell.path == ExecPath::Reference {
-        let mut boxed = cell.build.build_boxed(store, cell.trace);
-        let full = store.get(cell.trace.benchmark, cell.trace.data_set);
-        let sim = simulate(&mut *boxed, &full, &cell.sim);
-        return JobOutcome::Measured(JobMetrics { sim, miss_breakdown: None, fetch: None });
-    }
+    let (benchmark, data_set) = (cell.trace.benchmark, cell.trace.data_set);
+    let switches = cell.switch_schedule(store);
 
-    // Instrumented metrics replay the full trace through dedicated
-    // observation loops (each with a fresh predictor, so the loops are
-    // independent). Their conditional-branch accuracy counters are
-    // identical to the standard no-switch loop, so whichever ran also
-    // supplies the job's SimResult.
-    let miss_breakdown = cell.metrics.miss_breakdown.then(|| {
-        let full = store.get(cell.trace.benchmark, cell.trace.data_set);
-        match cell.build.build_any(store, cell.trace) {
-            AnyPredictor::Pag(mut pag) => Some(run_miss_breakdown(&mut pag, &full)),
+    // Instrumented metrics walk the full trace through dedicated
+    // observation loops, each with a fresh predictor and the cell's
+    // switch schedule, on every path. Their accuracy counters equal the
+    // standard loop's, so on the packed path whichever ran also supplies
+    // the job's SimResult; the reference path always runs its own loop.
+    let miss_breakdown = cell
+        .metrics
+        .miss_breakdown
+        .then(|| match cell.build.build_any(store, cell.trace) {
+            AnyPredictor::Pag(mut pag) => {
+                Some(run_miss_breakdown(&mut pag, &store.get(benchmark, data_set), &switches))
+            }
             _ => None,
-        }
-    });
+        })
+        .flatten();
     let fetch = cell.metrics.fetch.map(|spec| {
         let mut predictor = cell.build.build_any(store, cell.trace);
-        let full = store.get(cell.trace.benchmark, cell.trace.data_set);
-        run_fetch(&mut predictor, &full, spec)
+        run_fetch(&mut predictor, &store.get(benchmark, data_set), spec, &switches)
     });
 
-    let sim = if let Some(Some((sim, _))) = &miss_breakdown {
-        sim.clone()
-    } else if let Some((sim, _)) = &fetch {
-        sim.clone()
-    } else {
-        let mut predictor = cell.build.build_any(store, cell.trace);
-        match cell.path {
-            ExecPath::Packed => simulate_packed(
-                &mut predictor,
-                &store.get_packed(cell.trace.benchmark, cell.trace.data_set),
-            ),
-            ExecPath::FullTrace => simulate(
-                &mut predictor,
-                &store.get(cell.trace.benchmark, cell.trace.data_set),
-                &cell.sim,
-            ),
-            ExecPath::Reference => unreachable!("handled above"),
+    let sim = match (cell.path, &miss_breakdown, &fetch) {
+        (ExecPath::Reference, _, _) => {
+            let mut boxed = cell.build.build_boxed(store, cell.trace);
+            simulate(&mut *boxed, &store.get(benchmark, data_set), &cell.sim)
+        }
+        (ExecPath::Packed, Some((sim, _)), _) | (ExecPath::Packed, None, Some((sim, _))) => {
+            sim.clone()
+        }
+        (ExecPath::Packed, None, None) => {
+            let mut predictor = cell.build.build_any(store, cell.trace);
+            simulate_packed(&mut predictor, &store.get_packed(benchmark, data_set), &switches)
         }
     };
 
     JobOutcome::Measured(JobMetrics {
         sim,
-        miss_breakdown: miss_breakdown.flatten().map(|(_, b)| b),
+        miss_breakdown: miss_breakdown.map(|(_, b)| b),
         fetch: fetch.map(|(_, f)| f),
     })
 }
@@ -1532,15 +1536,26 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
 /// The misprediction-attribution loop: every misprediction of a
 /// PAg-structured predictor lands in exactly one [`MissBreakdown`]
 /// bucket, classified from the predictor's state at prediction time.
-fn run_miss_breakdown(pag: &mut Pag, trace: &Trace) -> (SimResult, MissBreakdown) {
-    let mut result =
-        SimResult { scheme: pag.name(), predictions: 0, correct: 0, context_switches: 0 };
+/// Context switches fire at the points of `switches`.
+fn run_miss_breakdown(
+    pag: &mut Pag,
+    trace: &Trace,
+    switches: &[(usize, u32)],
+) -> (SimResult, MissBreakdown) {
+    let mut result = SimResult {
+        scheme: pag.name(),
+        predictions: 0,
+        correct: 0,
+        context_switches: switch_count(switches),
+    };
     let mut buckets = MissBreakdown::default();
     // Shadow of the global PHT: which static branch last updated each
     // entry (for interference attribution). Grown on demand so any
     // history length works.
     let mut last_writer: Vec<Option<u64>> = Vec::new();
-    for branch in trace.conditional_branches() {
+    let mut pending = switches;
+    for (index, branch) in trace.conditional_branches().enumerate() {
+        switch_due(pag, &mut pending, index);
         let diagnostics = pag.predict_diagnosed(branch);
         pag.update(branch);
         result.predictions += 1;
@@ -1561,6 +1576,7 @@ fn run_miss_breakdown(pag: &mut Pag, trace: &Trace) -> (SimResult, MissBreakdown
         }
         last_writer[diagnostics.pattern] = Some(branch.pc);
     }
+    debug_assert!(pending.iter().all(|&(at, _)| at as u64 == result.predictions));
     assert_eq!(
         buckets.total(),
         result.predictions - result.correct,
@@ -1572,17 +1588,26 @@ fn run_miss_breakdown(pag: &mut Pag, trace: &Trace) -> (SimResult, MissBreakdown
 /// The Section 3.2 fetch-path loop: the direction predictor handles
 /// conditional branches (everything else is architecturally taken) and a
 /// target cache supplies target addresses for every branch class.
+/// Context switches fire at the points of `switches`; they flush the
+/// direction predictor's first level, not the target cache.
 fn run_fetch<P: BranchPredictor>(
     predictor: &mut P,
     trace: &Trace,
     spec: TargetCacheSpec,
+    switches: &[(usize, u32)],
 ) -> (SimResult, FetchStats) {
-    let mut result =
-        SimResult { scheme: predictor.name(), predictions: 0, correct: 0, context_switches: 0 };
+    let mut result = SimResult {
+        scheme: predictor.name(),
+        predictions: 0,
+        correct: 0,
+        context_switches: switch_count(switches),
+    };
     let mut stats = FetchStats::default();
     let mut cache = TargetCache::new(spec.entries, spec.ways);
+    let mut pending = switches;
     for branch in trace.branches() {
         let predicted_taken = if branch.class.is_conditional() {
+            switch_due(predictor, &mut pending, result.predictions as usize);
             let predicted = predictor.predict(branch);
             predictor.update(branch);
             result.predictions += 1;
@@ -1609,6 +1634,7 @@ fn run_fetch<P: BranchPredictor>(
             }
         }
     }
+    debug_assert!(pending.iter().all(|&(at, _)| at as u64 == result.predictions));
     (result, stats)
 }
 
@@ -1727,7 +1753,7 @@ mod tests {
     #[test]
     fn mixed_plan_fuses_eligible_jobs_and_falls_back_for_the_rest() {
         // One plan holding every scheduling class at once: fusible cells,
-        // a context-switch (full-trace) cell, an instrumented cell, a
+        // a context-switch cell, an instrumented cell, a
         // fusion-off cell and a skip. The outcomes must match the same
         // jobs run as singleton per-cell plans.
         let store = TraceStore::new();
@@ -1927,6 +1953,33 @@ mod tests {
             assert_eq!(rep.history_bits(), 8, "widest member wins");
             assert!(keys.iter().all(|key| key.fold_key() == rep.fold_key()));
         }
+    }
+
+    /// Switching jobs lower to the packed path and fuse, one batch per
+    /// (trace, context-switch model); only switch-free jobs replay.
+    #[test]
+    fn switching_jobs_fuse_by_context_switch_model() {
+        use crate::runner::ContextSwitchConfig;
+
+        let short = SimConfig {
+            context_switch: Some(ContextSwitchConfig {
+                interval_instructions: 2_000,
+                on_traps: true,
+            }),
+        };
+        let plan: Plan = [
+            Job::scheme(SchemeConfig::pag(8), li()),
+            Job::scheme(SchemeConfig::pag(8).with_context_switch(true), li()),
+            Job::scheme(SchemeConfig::gag(10), li()).with_sim(SimConfig::paper_context_switch()),
+            Job::scheme(SchemeConfig::pag(8), li()).with_sim(short),
+        ]
+        .into_iter()
+        .collect();
+        let lowered: Vec<Lowered> = plan.jobs().iter().map(lower).collect();
+        let partition = partition_batches(&lowered);
+        assert_eq!(partition.replay, vec![vec![0]]);
+        assert_eq!(partition.fused, vec![vec![1, 2], vec![3]]);
+        assert!(partition.singles.is_empty());
     }
 
     #[test]

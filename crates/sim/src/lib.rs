@@ -13,8 +13,9 @@
 //!   predictor, a trace, simulation options and the metrics wanted; a
 //!   [`plan::Plan`] is an ordered batch. Pure data, no execution.
 //! * [`engine`] — [`engine::execute`] lowers each job onto the best
-//!   execution path (pattern-stream replay, packed fast path,
-//!   full-trace, or dynamic dispatch for registry predictors), runs the
+//!   execution path (pattern-stream replay, or the packed/fused fast
+//!   path with context switches applied as a schedule, with dynamic
+//!   dispatch for registry predictors), runs the
 //!   batch on the persistent worker pool ([`pool`]) and reassembles a
 //!   typed [`engine::ResultSet`] in deterministic plan order.
 //! * [`suite`] — [`suite::run_suite`] evaluates a
@@ -64,8 +65,8 @@ pub use plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey, P
 pub use pool::SweepPool;
 pub use runner::{
     derive_pattern_stream, replay_stream_key, simulate, simulate_fused, simulate_packed,
-    simulate_replay_transposed, simulate_replay_transposed_streamed, ReplayPht, SimConfig,
-    SimResult, StreamKey,
+    simulate_replay_transposed, simulate_replay_transposed_streamed, switch_schedule, ReplayPht,
+    SimConfig, SimResult, StreamKey,
 };
 pub use stream::{
     stream_bytes_from_env, StreamChunk, StreamCursor, StreamWindow, DEFAULT_STREAM_BYTES,

@@ -47,8 +47,9 @@ pub const PLAN_WIRE_VERSION: u64 = 1;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PredictorSpec {
     /// A Table 3 catalog configuration. Lowered to the monomorphized
-    /// fast paths ([`tlabp_core::any::AnyPredictor`], and the packed
-    /// conditional stream when no context switches are simulated).
+    /// fast paths ([`tlabp_core::any::AnyPredictor`] over the packed or
+    /// interned conditional stream, or pattern-stream replay when no
+    /// context switches are simulated).
     Scheme(SchemeConfig),
     /// A predictor registered under this name in
     /// [`tlabp_core::registry`]. Runs behind `Box<dyn BranchPredictor>`
@@ -125,9 +126,10 @@ impl Default for TargetCacheSpec {
 /// Which metrics a job should produce beyond the always-computed
 /// prediction-accuracy counters.
 ///
-/// The instrumented metrics replay the trace through dedicated
-/// observation loops; they model no context switches (they reproduce the
-/// paper's Section 3 analyses, which are measured without switches).
+/// The instrumented metrics replay the full trace through dedicated
+/// observation loops on every execution path, with the job's context
+/// switches (the paper's Section 3 analyses are measured without
+/// switches; a switching job gets them with its switches).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricSet {
     /// Attribute every misprediction to a cause (BHT miss, weak pattern,
@@ -162,9 +164,9 @@ pub struct Job {
     /// throughput harness as its baseline and by differential tests.
     pub reference_path: bool,
     /// Allow the engine to fuse this job with other jobs of the plan that
-    /// share its trace into a single pass over the interned conditional
-    /// stream (on by default; fusion never changes results). Jobs that
-    /// lower to the full-trace or reference path, or that request
+    /// share its trace and context-switch model into a single pass over
+    /// the interned conditional stream (on by default; fusion never
+    /// changes results). Jobs on the reference path, or that request
     /// instrumented metrics, are fusion-ineligible regardless. Disabling
     /// this forces the per-cell packed path — the throughput harness uses
     /// that as the fused mode's baseline.
@@ -172,11 +174,12 @@ pub struct Job {
     /// Allow the engine to lower this job to the pattern-stream replay
     /// path (on by default; replay never changes results). Replay applies
     /// when the predictor is a catalog scheme whose first level maps to a
-    /// [`crate::runner::StreamKey`] and the job is otherwise
-    /// fusion-eligible: the engine then materializes the first-level
-    /// stream once per (trace, key) and replays only the second level.
-    /// Disabling this falls back to the fused / packed paths — the
-    /// throughput harness uses that as the replay mode's baseline.
+    /// [`crate::runner::StreamKey`], the job simulates no context
+    /// switches and it is otherwise fusion-eligible: the engine then
+    /// materializes the first-level stream once per (trace, key) and
+    /// replays only the second level. Disabling this falls back to the
+    /// fused / packed paths — the throughput harness uses that as the
+    /// replay mode's baseline.
     pub replay: bool,
 }
 

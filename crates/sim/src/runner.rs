@@ -18,7 +18,7 @@ use crate::stream::StreamCursor;
 /// instructions if no trap occurs, a context switch is simulated" — the
 /// 500,000 figure derives from a 50 MHz, 1-IPC machine switching every
 /// 10 ms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContextSwitchConfig {
     /// Instructions between forced switches when no trap intervenes.
     pub interval_instructions: u64,
@@ -33,7 +33,7 @@ impl Default for ContextSwitchConfig {
 }
 
 /// Simulation options.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     /// When `Some`, context switches flush first-level branch history.
     pub context_switch: Option<ContextSwitchConfig>,
@@ -145,8 +145,110 @@ pub fn simulate<P: BranchPredictor + ?Sized>(
     result
 }
 
+/// When [`simulate`]'s context switches fire over `trace`, in
+/// conditional-branch coordinates: each `(index, count)` entry means
+/// "`count` switches fire after the first `index` conditional branches
+/// and before the next one".
+///
+/// The switch points depend only on the trace's instruction counts and
+/// traps, never on the predictor, so one schedule serves every
+/// predictor simulated under `config`. Entries are strictly increasing
+/// in `index`. An `index` equal to the number of conditional branches
+/// records switches that fire after the last one; they change no
+/// prediction but still count in [`SimResult::context_switches`]. A
+/// count above 1 merges switches with no conditional branch between
+/// them, such as an interval switch and a trap switch firing on the same
+/// trap event. The fast paths ([`simulate_packed`],
+/// [`simulate_fused`]) take the schedule in place of the trace; given
+/// it, they are bit-identical to [`simulate`] under `config`.
+///
+/// # Example
+///
+/// ```
+/// use tlabp_sim::runner::{switch_schedule, ContextSwitchConfig};
+/// use tlabp_trace::{BranchRecord, Trace, TrapRecord};
+///
+/// let mut trace = Trace::new();
+/// trace.push(BranchRecord::conditional(0x10, true, 0x4, 1));
+/// trace.push(TrapRecord::new(0x20, 2));
+/// trace.push(BranchRecord::conditional(0x10, true, 0x4, 3));
+/// let schedule = switch_schedule(&trace, ContextSwitchConfig::default());
+/// assert_eq!(schedule, [(1, 1)]);
+/// ```
+#[must_use]
+pub fn switch_schedule(trace: &Trace, config: ContextSwitchConfig) -> Vec<(usize, u32)> {
+    fn push(schedule: &mut Vec<(usize, u32)>, index: usize) {
+        match schedule.last_mut() {
+            Some((last, count)) if *last == index => *count += 1,
+            _ => schedule.push((index, 1)),
+        }
+    }
+    let mut schedule = Vec::new();
+    let mut conditionals = 0usize;
+    let mut due = config.interval_instructions;
+    // The same per-event order as `simulate`: the interval check, then
+    // the event itself.
+    for event in trace.iter() {
+        if event.instret() >= due {
+            push(&mut schedule, conditionals);
+            due = event.instret() + config.interval_instructions;
+        }
+        match event {
+            TraceEvent::Branch(branch) if branch.class.is_conditional() => conditionals += 1,
+            TraceEvent::Branch(_) => {}
+            TraceEvent::Trap(trap) => {
+                if config.on_traps {
+                    push(&mut schedule, conditionals);
+                    due = trap.instret + config.interval_instructions;
+                }
+            }
+        }
+    }
+    schedule
+}
+
+/// Total switches a [`switch_schedule`] fires.
+pub(crate) fn switch_count(switches: &[(usize, u32)]) -> u64 {
+    switches.iter().map(|&(_, count)| u64::from(count)).sum()
+}
+
+/// Fires on `predictor` the switches `switches` places before
+/// conditional `index` and advances the schedule past them. Loops that
+/// walk the full trace call this before each conditional branch and
+/// once more with the branch count at the end.
+pub(crate) fn switch_due<P: BranchPredictor + ?Sized>(
+    predictor: &mut P,
+    switches: &mut &[(usize, u32)],
+    index: usize,
+) {
+    if let Some((&(at, count), rest)) = switches.split_first() {
+        if at == index {
+            for _ in 0..count {
+                predictor.context_switch();
+            }
+            *switches = rest;
+        }
+    }
+}
+
+/// Cuts `items` at the schedule's switch points: yields each segment
+/// with the number of switches that fire right after it (0 after the
+/// final segment unless switches trail the last item).
+fn segments<'a, T>(
+    items: &'a [T],
+    switches: &'a [(usize, u32)],
+) -> impl Iterator<Item = (&'a [T], u32)> + 'a {
+    let mut start = 0;
+    switches.iter().copied().chain(std::iter::once((items.len(), 0))).map(move |(at, count)| {
+        let segment = &items[start..at];
+        start = at;
+        (segment, count)
+    })
+}
+
 /// Runs `predictor` over a packed conditional-branch stream — the
-/// simulator's fast path.
+/// simulator's fast path — applying the context switches of `switches`
+/// (a [`switch_schedule`]; empty for none).
 ///
 /// [`PackedCond`] drops everything a predictor never reads (targets,
 /// instruction counts, branch classes, traps), so this loop streams 8
@@ -157,13 +259,13 @@ pub fn simulate<P: BranchPredictor + ?Sized>(
 /// (e.g. [`tlabp_core::any::AnyPredictor`]) the whole step inlines into
 /// the loop body.
 ///
-/// Context switches cannot be modeled here: the packed stream has no
-/// instruction counts or traps. Callers must fall back to [`simulate`]
-/// on the full trace when `SimConfig::context_switch` is set; given
-/// that, this function is bit-identical to [`simulate`] with
-/// [`SimConfig::no_context_switch`] on the trace the stream was packed
-/// from (the differential tests in `tests/differential.rs` assert this
-/// for every catalog scheme).
+/// The packed stream has no instruction counts or traps, so context
+/// switches arrive as the schedule derived from the full trace. Given
+/// the schedule of the trace the stream was packed from under a
+/// [`ContextSwitchConfig`] (or an empty one), this function is
+/// bit-identical to [`simulate`] under that config (or
+/// [`SimConfig::no_context_switch`]); the differential tests in
+/// `tests/differential.rs` assert this for every catalog scheme.
 ///
 /// # Example
 ///
@@ -175,25 +277,31 @@ pub fn simulate<P: BranchPredictor + ?Sized>(
 /// let trace = LoopNest::new(&[50, 20]).generate();
 /// let packed = trace.pack_conditionals();
 /// let mut predictor = SchemeConfig::pag(6).build_any()?;
-/// let result = simulate_packed(&mut predictor, &packed);
+/// let result = simulate_packed(&mut predictor, &packed, &[]);
 /// assert!(result.accuracy() > 0.9);
 /// # Ok::<(), tlabp_core::config::BuildError>(())
 /// ```
 pub fn simulate_packed<P: BranchPredictor + ?Sized>(
     predictor: &mut P,
     conditionals: &[PackedCond],
+    switches: &[(usize, u32)],
 ) -> SimResult {
     let mut correct = 0u64;
-    for cond in conditionals {
-        let branch = cond.to_record();
-        let predicted = predictor.step(&branch);
-        correct += u64::from(predicted == branch.taken);
+    for (segment, switches_after) in segments(conditionals, switches) {
+        for cond in segment {
+            let branch = cond.to_record();
+            let predicted = predictor.step(&branch);
+            correct += u64::from(predicted == branch.taken);
+        }
+        for _ in 0..switches_after {
+            predictor.context_switch();
+        }
     }
     SimResult {
         scheme: predictor.name(),
         predictions: conditionals.len() as u64,
         correct,
-        context_switches: 0,
+        context_switches: switch_count(switches),
     }
 }
 
@@ -232,7 +340,12 @@ const FUSE_CHUNK: usize = 256;
 /// per predictor. Predictors with unique signatures (or none) fall back
 /// to the solo [`BranchPredictor::step_interned_block`] walk.
 ///
-/// Like [`simulate_packed`], this models no context switches.
+/// Like [`simulate_packed`], the batch applies the context switches of
+/// `switches` (a [`switch_schedule`]; empty for none). The walk runs
+/// segment by segment; at each switch point every member's
+/// [`BranchPredictor::context_switch`] runs and every driver table is
+/// flushed, which is what each shared member's own table would have
+/// done.
 ///
 /// # Example
 ///
@@ -248,13 +361,14 @@ const FUSE_CHUNK: usize = 256;
 ///     SchemeConfig::pag(6).build_any()?,
 ///     SchemeConfig::gag(8).build_any()?,
 /// ];
-/// let results = simulate_fused(&mut batch, &interned);
+/// let results = simulate_fused(&mut batch, &interned, &[]);
 /// assert!(results.iter().all(|r| r.accuracy() > 0.9));
 /// # Ok::<(), tlabp_core::config::BuildError>(())
 /// ```
 pub fn simulate_fused<P: BranchPredictor>(
     predictors: &mut [P],
     interned: &InternedConds,
+    switches: &[(usize, u32)],
 ) -> Vec<SimResult> {
     // Partition the batch: predictors sharing a first-level signature
     // ride one driver table; everyone else (unique signatures included —
@@ -284,27 +398,42 @@ pub fn simulate_fused<P: BranchPredictor>(
     let mut correct = vec![0u64; predictors.len()];
     let mut block: Vec<(u32, BranchRecord)> = Vec::with_capacity(FUSE_CHUNK);
     let mut patterns: Vec<(usize, BhtCursor)> = Vec::with_capacity(FUSE_CHUNK);
-    for chunk in interned.events().chunks(FUSE_CHUNK) {
-        block.clear();
-        block.extend(chunk.iter().map(|event| (event.id(), interned.record(*event))));
-        for &index in &solo {
-            correct[index] += predictors[index].step_interned_block(&block);
-        }
-        for ((_, members), driver) in shared.iter().zip(drivers.iter_mut()) {
-            // access → record per event is the exact operation order of
-            // the per-cell step loop, so the driver's (pattern, cursor)
-            // stream matches each member's own table bit for bit.
-            patterns.clear();
-            for (id, branch) in &block {
-                let (pattern, cursor) = driver.access_pattern_interned(*id, branch.pc);
-                driver.record_outcome_at_interned(cursor, *id, branch.taken);
-                patterns.push((pattern, cursor));
+    for (segment, switches_after) in segments(interned.events(), switches) {
+        for chunk in segment.chunks(FUSE_CHUNK) {
+            block.clear();
+            block.extend(chunk.iter().map(|event| (event.id(), interned.record(*event))));
+            for &index in &solo {
+                correct[index] += predictors[index].step_interned_block(&block);
             }
-            for &index in members {
-                correct[index] += predictors[index].step_shared_block(&block, &patterns);
+            for ((_, members), driver) in shared.iter().zip(drivers.iter_mut()) {
+                // access → record per event is the exact operation order
+                // of the per-cell step loop, so the driver's (pattern,
+                // cursor) stream matches each member's own table bit for
+                // bit.
+                patterns.clear();
+                for (id, branch) in &block {
+                    let (pattern, cursor) = driver.access_pattern_interned(*id, branch.pc);
+                    driver.record_outcome_at_interned(cursor, *id, branch.taken);
+                    patterns.push((pattern, cursor));
+                }
+                for &index in members {
+                    correct[index] += predictors[index].step_shared_block(&block, &patterns);
+                }
+            }
+        }
+        for _ in 0..switches_after {
+            // Members still switch: a shared member's own table is idle,
+            // but anything else its switch resets (a flush-PHT variant's
+            // pattern table, a global register) must reset here too.
+            for predictor in predictors.iter_mut() {
+                predictor.context_switch();
+            }
+            for driver in &mut drivers {
+                driver.flush();
             }
         }
     }
+    let context_switches = switch_count(switches);
     predictors
         .iter()
         .zip(correct)
@@ -312,7 +441,7 @@ pub fn simulate_fused<P: BranchPredictor>(
             scheme: predictor.name(),
             predictions: interned.len() as u64,
             correct,
-            context_switches: 0,
+            context_switches,
         })
         .collect()
 }
@@ -576,8 +705,9 @@ const REPLAY_BLOCK: usize = 1 << 14;
 /// is bit-identical to [`simulate`] without context switches — the
 /// stream *is* the first level's output, and the bank's transition
 /// equals [`tlabp_core::pht::PatternHistoryTable::predict_update`] on
-/// all inputs. Like the other fast paths, replay models no context
-/// switches.
+/// all inputs. Replay models no context switches: a pattern stream
+/// carries no switch points, so the engine never lowers a switching job
+/// here.
 ///
 /// Members are grouped by PHT width — one transposed bank per distinct
 /// width — and widths *narrower than the stream* are welcome: each
@@ -586,7 +716,7 @@ const REPLAY_BLOCK: usize = 1 << 14;
 /// this to replay an entire width × automaton grid column (e.g. GAg(6),
 /// GAg(8), … GAg(12) across all five automata) over the single stream
 /// derived at the column's widest width. Banks walk the stream in
-/// [`REPLAY_BLOCK`]-event slices, interleaved, so the slice is read from
+/// `REPLAY_BLOCK`-event slices, interleaved, so the slice is read from
 /// cache by every bank after the first.
 ///
 /// Returns `None` (and replays nobody) unless every member has a
@@ -634,7 +764,7 @@ pub fn simulate_replay_transposed(
 /// event sequence (banks carry their state across feeds and never
 /// interact), so any order-preserving chunking yields the same counts —
 /// and the v3 writer additionally aligns stream chunks to
-/// [`REPLAY_BLOCK`], so even the interleaved block walk matches.
+/// `REPLAY_BLOCK`, so even the interleaved block walk matches.
 ///
 /// Returns `None` (before reading anything) unless every member has a
 /// replayable second level, `Some(Err(..))` if the artifact turns out
@@ -853,6 +983,124 @@ mod tests {
         assert!(with < without, "flushing must hurt: with={with} without={without}");
     }
 
+    /// Records, at each context switch, how many conditional branches
+    /// it had seen: the schedule [`simulate`] actually fired.
+    #[derive(Default)]
+    struct SwitchLog {
+        seen: usize,
+        switches: Vec<(usize, u32)>,
+    }
+
+    impl BranchPredictor for SwitchLog {
+        fn predict(&mut self, _branch: &BranchRecord) -> bool {
+            self.seen += 1;
+            true
+        }
+
+        fn update(&mut self, _branch: &BranchRecord) {}
+
+        fn context_switch(&mut self) {
+            match self.switches.last_mut() {
+                Some((at, count)) if *at == self.seen => *count += 1,
+                _ => self.switches.push((self.seen, 1)),
+            }
+        }
+
+        fn name(&self) -> String {
+            "switch-log".into()
+        }
+    }
+
+    /// The schedule of `trace` under `config` is exactly the switches
+    /// `simulate` fires, and sums to its `context_switches`; returns it.
+    fn assert_schedule_is_what_simulate_fires(
+        trace: &Trace,
+        config: ContextSwitchConfig,
+    ) -> Vec<(usize, u32)> {
+        let schedule = switch_schedule(trace, config);
+        let mut log = SwitchLog::default();
+        let logged = simulate(&mut log, trace, &SimConfig { context_switch: Some(config) });
+        assert_eq!(schedule, log.switches, "schedule vs the switches simulate fired");
+        assert_eq!(switch_count(&schedule), logged.context_switches);
+        schedule
+    }
+
+    /// [`assert_schedule_is_what_simulate_fires`], and the fast loops
+    /// over the schedule match `simulate` for a PAg; returns the
+    /// schedule.
+    fn assert_schedule_matches_simulate(
+        trace: &Trace,
+        config: ContextSwitchConfig,
+    ) -> Vec<(usize, u32)> {
+        use tlabp_core::config::SchemeConfig;
+
+        let schedule = assert_schedule_is_what_simulate_fires(trace, config);
+        let sim = SimConfig { context_switch: Some(config) };
+        let pag = SchemeConfig::pag(6);
+        let oracle = simulate(&mut *pag.build().expect("builds"), trace, &sim);
+        let packed = trace.pack_conditionals();
+        let mut alone = pag.build_any().expect("builds");
+        assert_eq!(simulate_packed(&mut alone, &packed, &schedule), oracle, "packed");
+        let mut batch = [pag.build_any().expect("builds")];
+        let fused = simulate_fused(&mut batch, &InternedConds::from_packed(&packed), &schedule);
+        assert_eq!(fused, [oracle], "fused");
+        schedule
+    }
+
+    #[test]
+    fn trap_on_an_interval_boundary_counts_two_switches() {
+        let mut trace = Trace::new();
+        trace.push(BranchRecord::conditional(0x10, true, 0x4, 1));
+        // Due for an interval switch *and* a trap: both fire on this
+        // one event, before the second conditional branch.
+        trace.push(TrapRecord::new(0x20, 500_000));
+        trace.push(BranchRecord::conditional(0x10, false, 0x4, 500_001));
+        let schedule = assert_schedule_matches_simulate(&trace, ContextSwitchConfig::default());
+        assert_eq!(schedule, [(1, 2)]);
+    }
+
+    #[test]
+    fn switches_after_the_last_conditional_still_count() {
+        let mut trace = Trace::new();
+        trace.push(BranchRecord::conditional(0x10, true, 0x4, 1));
+        trace.push(BranchRecord::conditional(0x14, false, 0x4, 2));
+        trace.push(TrapRecord::new(0x20, 3));
+        let schedule = assert_schedule_matches_simulate(&trace, ContextSwitchConfig::default());
+        assert_eq!(schedule, [(2, 1)], "one trailing switch");
+    }
+
+    #[test]
+    fn traps_fire_no_switch_unless_on_traps() {
+        let mut trace = Trace::new();
+        trace.push(BranchRecord::conditional(0x10, true, 0x4, 1));
+        trace.push(TrapRecord::new(0x20, 2));
+        trace.push(BranchRecord::conditional(0x10, true, 0x4, 3));
+        trace.push(BranchRecord::conditional(0x10, true, 0x4, 700_000));
+        let config = ContextSwitchConfig { on_traps: false, ..ContextSwitchConfig::default() };
+        let schedule = assert_schedule_matches_simulate(&trace, config);
+        assert_eq!(schedule, [(2, 1)], "only the interval switch fires");
+    }
+
+    /// On every benchmark's testing trace — gcc is the one with traps —
+    /// the schedule is exactly the switches `simulate` fires, under the
+    /// paper's model, a short interval and an interval-only model.
+    #[test]
+    fn schedule_matches_simulate_on_every_benchmark() {
+        use tlabp_workloads::{Benchmark, DataSet};
+
+        let configs = [
+            ContextSwitchConfig::default(),
+            ContextSwitchConfig { interval_instructions: 2_000, on_traps: true },
+            ContextSwitchConfig { interval_instructions: 2_000, on_traps: false },
+        ];
+        for benchmark in Benchmark::ALL {
+            let trace = benchmark.trace(DataSet::Testing);
+            for config in configs {
+                assert_schedule_is_what_simulate_fires(&trace, config);
+            }
+        }
+    }
+
     #[test]
     fn accuracy_of_empty_trace_is_zero() {
         let mut p = Pag::new(4, BhtConfig::PAPER_DEFAULT, Automaton::A2);
@@ -886,10 +1134,10 @@ mod tests {
             SchemeConfig::btfn(),
         ];
         let mut batch: Vec<_> = configs.iter().map(|c| c.build_any().expect("builds")).collect();
-        let fused = simulate_fused(&mut batch, &interned);
+        let fused = simulate_fused(&mut batch, &interned, &[]);
         for (config, fused_result) in configs.iter().zip(&fused) {
             let mut alone = config.build_any().expect("builds");
-            let packed_result = simulate_packed(&mut alone, &packed);
+            let packed_result = simulate_packed(&mut alone, &packed, &[]);
             assert_eq!(fused_result, &packed_result, "{config}");
         }
     }
@@ -899,7 +1147,7 @@ mod tests {
         use tlabp_core::config::SchemeConfig;
         use tlabp_trace::InternedConds;
         let mut batch = vec![SchemeConfig::gag(6).build_any().expect("builds")];
-        let results = simulate_fused(&mut batch, &InternedConds::default());
+        let results = simulate_fused(&mut batch, &InternedConds::default(), &[]);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].predictions, 0);
         assert_eq!(results[0].accuracy(), 0.0);
@@ -929,7 +1177,7 @@ mod tests {
             let replayed =
                 simulate_replay_transposed(&[predictor], &stream, SimdMode::Auto).expect("replays");
             let mut alone = config.build_any().expect("builds");
-            let reference = simulate_packed(&mut alone, &packed);
+            let reference = simulate_packed(&mut alone, &packed, &[]);
             assert_eq!(replayed, [reference], "{config}");
         }
     }
@@ -1079,7 +1327,7 @@ mod tests {
                     let own_key = replay_stream_key(*config).expect("two-level");
                     assert_eq!(own_key.fold_key(), rep_key.fold_key());
                     let mut alone = config.build_any().expect("builds");
-                    let own = simulate_packed(&mut alone, &packed);
+                    let own = simulate_packed(&mut alone, &packed, &[]);
                     assert_eq!(result, &own, "{config} under {mode:?}");
                 }
             }

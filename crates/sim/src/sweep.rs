@@ -6,7 +6,7 @@
 //! the convenience entry point for the most common plan shape — every
 //! configuration on every benchmark — expressed as
 //! [`Plan::suites`](crate::plan::Plan::suites) and executed by
-//! [`engine::execute_on`](crate::engine::execute_on).
+//! [`engine::execute_on`].
 //!
 //! # Example
 //!

@@ -1652,7 +1652,12 @@ impl ChunkedArtifact {
 /// [`read_memo`]): one memoized sweep-service response.
 pub const MEMO_MAGIC: &[u8; 4] = b"TLBM";
 /// Version of the memo artifact format.
-pub const MEMO_VERSION: u16 = 1;
+///
+/// Bumped whenever memoized responses stop matching what the engine
+/// computes, not only when the layout changes: version 2 retired every
+/// response whose instrumented metrics (miss breakdown, fetch) were
+/// measured without the job's context switches.
+pub const MEMO_VERSION: u16 = 2;
 
 /// Section kind tags of the memo artifact.
 mod memo_section {
@@ -1693,7 +1698,7 @@ pub struct MemoArtifact {
 ///
 /// ```text
 /// magic     : 4 bytes = b"TLBM"
-/// version   : u16     = 1
+/// version   : u16     = 2
 /// plan_hash : u64
 /// fingerprint : u64
 /// sections  : u32     = 1 + frames
@@ -2542,6 +2547,13 @@ mod tests {
                 assert!(read_memo(&corrupt).is_err(), "bit flip at byte {pos} must not decode");
             }
         }
+    }
+
+    #[test]
+    fn memo_rejects_other_versions() {
+        let mut bytes = write_memo(&sample_memo());
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(read_memo(&bytes).unwrap_err(), ReadTraceError::UnsupportedVersion { found: 1 });
     }
 
     #[test]

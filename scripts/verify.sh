@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Full offline verification: release build, test suite, strict clippy
-# across the whole workspace, formatting, the differential/determinism
-# suites under release optimization (the fast paths the benchmarks
-# exercise) — repeated with the scalar replay kernel body forced,
+# across the whole workspace, formatting, warning-free rustdoc (a
+# broken intra-doc link fails here instead of rotting), the
+# differential/determinism suites under release optimization (the fast
+# paths the benchmarks exercise) — repeated with the scalar replay kernel body forced,
 # proving TLABP_SIMD is a throughput knob only — plus a forced-split
 # pass proving TLABP_SPLIT is a scheduling knob only — plus a
 # capped-window streaming pass proving TLABP_STREAM_BYTES is a memory
@@ -25,6 +26,7 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test --release -q -p tlabp --test differential --test sweep_determinism --test disk_cache --test streaming
 TLABP_SIMD=scalar cargo test --release -q -p tlabp --test differential --test sweep_determinism --test streaming
 TLABP_SPLIT=3 cargo test --release -q -p tlabp --test differential --test sweep_determinism

@@ -2,22 +2,29 @@
 //! reference path.
 //!
 //! The sweep engine runs cells through a monomorphized
-//! [`AnyPredictor`] and, without context switches, over the packed
-//! conditional-branch stream — and fuses packed-path jobs that share a
-//! trace into batched passes over the pc-interned stream. None of these
-//! transformations may change a single prediction: for every scheme in
-//! the catalog, the boxed `dyn BranchPredictor` over the full trace,
-//! the `AnyPredictor` over the full trace, the `AnyPredictor` over the
+//! [`AnyPredictor`] over the packed conditional-branch stream — and
+//! fuses packed-path jobs that share a trace and a context-switch model
+//! into batched passes over the pc-interned stream. Context switches
+//! reach both loops as a schedule derived from the full trace
+//! ([`switch_schedule`]). None of these transformations may change a
+//! single prediction: for every scheme in the catalog, the boxed `dyn
+//! BranchPredictor` over the full trace (the [`simulate`] oracle), the
+//! `AnyPredictor` over the full trace, the `AnyPredictor` over the
 //! packed stream, and the fused batch over the interned stream must
-//! produce identical [`SimResult`]s.
+//! produce identical [`SimResult`]s, with and without context switches.
 
+use tlabp::core::any::AnyPredictor;
 use tlabp::core::automaton::Automaton;
 use tlabp::core::config::SchemeConfig;
+use tlabp::core::predictor::BranchPredictor;
+use tlabp::core::schemes::Pag;
 use tlabp::core::BhtConfig;
-use tlabp::sim::runner::{simulate, simulate_packed, SimConfig};
+use tlabp::sim::runner::{
+    simulate, simulate_fused, simulate_packed, switch_schedule, ContextSwitchConfig, SimConfig,
+};
 use tlabp::sim::SimResult;
 use tlabp::trace::synth::{BiasedCoins, CorrelatedBranches, Correlation, LoopNest, MarkovBranches};
-use tlabp::trace::Trace;
+use tlabp::trace::{InternedConds, Trace, TraceEvent, TrapRecord};
 use tlabp::workloads::{Benchmark, DataSet};
 
 /// Every scheme kind the simulator supports, across automata, history
@@ -58,62 +65,213 @@ fn traces() -> Vec<(&'static str, Trace)> {
     ]
 }
 
-fn run_all_paths(
-    config: &SchemeConfig,
-    trace: &Trace,
-    training: &Trace,
-    sim: &SimConfig,
-) -> (SimResult, SimResult, Option<SimResult>) {
-    let mut boxed = if config.needs_training() {
-        config.build_trained(training)
-    } else {
-        config.build().expect("builds")
-    };
-    let mut any = if config.needs_training() {
+fn build_any(config: &SchemeConfig, training: &Trace) -> AnyPredictor {
+    if config.needs_training() {
         config.build_any_trained(training)
     } else {
         config.build_any().expect("builds")
-    };
-    let dyn_result = simulate(&mut *boxed, trace, sim);
-    let any_result = simulate(&mut any, trace, sim);
-    let packed_result = if sim.context_switch.is_none() {
-        let mut any = if config.needs_training() {
-            config.build_any_trained(training)
-        } else {
-            config.build_any().expect("builds")
-        };
-        Some(simulate_packed(&mut any, &trace.pack_conditionals()))
-    } else {
-        None
-    };
-    (dyn_result, any_result, packed_result)
+    }
 }
 
-/// The monomorphized and packed paths are bit-identical to the boxed
-/// reference for every catalog scheme on every trace, with and without
-/// context-switch simulation.
+fn build_boxed(config: &SchemeConfig, training: &Trace) -> Box<dyn BranchPredictor> {
+    if config.needs_training() {
+        config.build_trained(training)
+    } else {
+        config.build().expect("builds")
+    }
+}
+
+/// A short switch interval: about a thousand switches over li.
+const SHORT_INTERVAL: ContextSwitchConfig =
+    ContextSwitchConfig { interval_instructions: 2_000, on_traps: true };
+
+/// Asserts that every config of `configs` gets the same [`SimResult`]
+/// under `sim` on `trace` from the `simulate` oracle (boxed `dyn` over
+/// the full trace), from `simulate` over the `AnyPredictor`, from the
+/// packed loop and from one fused batch of all `configs` — the last two
+/// under the trace's switch schedule.
+fn assert_paths_agree(
+    configs: &[SchemeConfig],
+    trace_name: &str,
+    trace: &Trace,
+    training: &Trace,
+    sim: &SimConfig,
+) {
+    let switches = sim.context_switch.map_or_else(Vec::new, |cs| switch_schedule(trace, cs));
+    let packed = trace.pack_conditionals();
+    let mut batch: Vec<AnyPredictor> = configs.iter().map(|c| build_any(c, training)).collect();
+    let fused = simulate_fused(&mut batch, &InternedConds::from_packed(&packed), &switches);
+    for (config, fused_result) in configs.iter().zip(&fused) {
+        let oracle = simulate(&mut *build_boxed(config, training), trace, sim);
+        let any_result = simulate(&mut build_any(config, training), trace, sim);
+        assert_eq!(oracle, any_result, "dyn vs AnyPredictor diverged for {config} on {trace_name}");
+        let packed_result = simulate_packed(&mut build_any(config, training), &packed, &switches);
+        assert_eq!(oracle, packed_result, "dyn vs packed diverged for {config} on {trace_name}");
+        assert_eq!(&oracle, fused_result, "dyn vs fused diverged for {config} on {trace_name}");
+    }
+}
+
+/// The monomorphized, packed and fused paths are bit-identical to the
+/// boxed reference for every catalog scheme on every trace, with and
+/// without context-switch simulation.
 #[test]
 fn every_catalog_scheme_is_path_invariant() {
     let training = BiasedCoins::uniform(24, 0.7, 400, 8).generate();
+    let (switching, plain): (Vec<SchemeConfig>, Vec<SchemeConfig>) =
+        catalog().into_iter().partition(SchemeConfig::context_switch);
     for (trace_name, trace) in traces() {
-        for config in catalog() {
-            let sim = if config.context_switch() {
-                SimConfig::paper_context_switch()
-            } else {
-                SimConfig::no_context_switch()
-            };
-            let (dyn_result, any_result, packed_result) =
-                run_all_paths(&config, &trace, &training, &sim);
-            assert_eq!(
-                dyn_result, any_result,
-                "dyn vs AnyPredictor diverged for {config} on {trace_name}"
-            );
-            if let Some(packed_result) = packed_result {
-                assert_eq!(
-                    dyn_result, packed_result,
-                    "dyn vs packed diverged for {config} on {trace_name}"
-                );
-            }
+        let no_switch = SimConfig::no_context_switch();
+        assert_paths_agree(&plain, trace_name, &trace, &training, &no_switch);
+        let paper = SimConfig::paper_context_switch();
+        assert_paths_agree(&switching, trace_name, &trace, &training, &paper);
+    }
+}
+
+/// li's testing trace with traps spliced in: two back-to-back traps
+/// after every 40 000th event (two switches with no conditional branch
+/// between them), and one trap [`SHORT_INTERVAL`] instructions past the
+/// end, where an interval switch and a trap switch fire on the same
+/// event after the last conditional branch.
+fn li_with_traps() -> Trace {
+    let li = Benchmark::by_name("li").expect("li exists").trace(DataSet::Testing);
+    let mut events: Vec<TraceEvent> = Vec::with_capacity(li.len() + 64);
+    for (index, event) in li.iter().enumerate() {
+        events.push(*event);
+        if index % 40_000 == 39_999 {
+            events.push(TrapRecord::new(0x7000, event.instret()).into());
+            events.push(TrapRecord::new(0x7004, event.instret()).into());
+        }
+    }
+    let last = events.last().map_or(0, TraceEvent::instret);
+    events.push(TrapRecord::new(0x7008, last + SHORT_INTERVAL.interval_instructions).into());
+    Trace::from_events(events)
+}
+
+/// A short switch interval over a trace whose schedule holds
+/// coincident switches mid-trace and after the last conditional: every
+/// path agrees with the oracle for every (no-flag) catalog scheme.
+#[test]
+fn short_interval_switches_are_path_invariant() {
+    let training = BiasedCoins::uniform(24, 0.7, 400, 8).generate();
+    let trace = li_with_traps();
+    let schedule = switch_schedule(&trace, SHORT_INTERVAL);
+    let conditionals = trace.conditional_branches().count();
+    assert!(schedule.len() > 1000, "{} switch points", schedule.len());
+    assert!(
+        schedule.iter().any(|&(at, count)| count > 1 && at < conditionals),
+        "coincident switches mid-trace"
+    );
+    assert_eq!(schedule.last(), Some(&(conditionals, 2)), "coincident trailing switches");
+    let plain: Vec<SchemeConfig> =
+        catalog().into_iter().filter(|config| !config.context_switch()).collect();
+    let sim = SimConfig { context_switch: Some(SHORT_INTERVAL) };
+    assert_paths_agree(&plain, "li_with_traps", &trace, &training, &sim);
+}
+
+/// A PAg(12) that also reinitializes its PHT on every switch — the
+/// `ablation_flush_pht` variant, outside the catalog.
+fn flush_pht_pag() -> Pag {
+    let mut pag = Pag::new(12, BhtConfig::PAPER_DEFAULT, Automaton::A2);
+    pag.set_flush_pht_on_context_switch(true);
+    pag
+}
+
+/// One fused batch mixing shared-BHT PAg/PAp members (one driver table
+/// walks BHT(512,4,12) for all of them) with the flush-PHT PAg behind
+/// `AnyPredictor::Dyn`: at every switch the driver flushes and every
+/// member switches, so the flush-PHT member loses its PHT while the
+/// others keep theirs — each bit-identical to its own `simulate` run.
+#[test]
+fn fused_flush_pht_batch_matches_the_oracle() {
+    use tlabp::core::registry;
+    use tlabp::sim::engine::execute;
+    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::TraceStore;
+
+    let gcc = Benchmark::by_name("gcc").expect("gcc exists");
+    let cases = [
+        ("gcc", gcc.trace(DataSet::Testing), SimConfig::paper_context_switch()),
+        ("li_with_traps", li_with_traps(), SimConfig { context_switch: Some(SHORT_INTERVAL) }),
+    ];
+    let members: [fn() -> AnyPredictor; 4] = [
+        || SchemeConfig::pag(12).build_any().expect("builds"),
+        || AnyPredictor::Dyn(Box::new(flush_pht_pag())),
+        || SchemeConfig::pap(12).build_any().expect("builds"),
+        || SchemeConfig::pag(12).with_automaton(Automaton::A3).build_any().expect("builds"),
+    ];
+    for (trace_name, trace, sim) in cases {
+        let switches = switch_schedule(&trace, sim.context_switch.expect("switching"));
+        let mut batch: Vec<AnyPredictor> = members.iter().map(|build| build()).collect();
+        let signatures: Vec<_> = batch.iter().map(BranchPredictor::shared_bht).collect();
+        assert!(signatures.iter().all(|s| s.is_some() && *s == signatures[0]), "one driver");
+        let fused = simulate_fused(&mut batch, &InternedConds::from_trace(&trace), &switches);
+        let oracles: Vec<SimResult> =
+            members.iter().map(|build| simulate(&mut build(), &trace, &sim)).collect();
+        assert_eq!(fused, oracles, "fused flush-PHT batch diverged on {trace_name}");
+        assert!(fused[0].context_switches > 0, "{trace_name} switches");
+        assert_ne!(fused[0].correct, fused[1].correct, "flushing the PHT costs accuracy");
+    }
+
+    // The same mix through the engine, planned as `ablation_flush_pht`
+    // plans it: the fused plan matches the reference plan.
+    registry::register("differential-flush-pht", || Box::new(flush_pht_pag()));
+    let sim = SimConfig::paper_context_switch();
+    let jobs = [
+        Job::scheme(SchemeConfig::pag(12), gcc).with_sim(sim),
+        Job::custom("differential-flush-pht", gcc).with_sim(sim),
+        Job::scheme(SchemeConfig::pap(12), gcc).with_sim(sim),
+    ];
+    let store = TraceStore::from_env();
+    let fused_out = execute(&jobs.iter().cloned().collect(), &store);
+    let reference: Plan = jobs.iter().map(|job| job.clone().with_reference_path(true)).collect();
+    let reference_out = execute(&reference, &store);
+    assert_eq!(
+        fused_out.outcomes().collect::<Vec<_>>(),
+        reference_out.outcomes().collect::<Vec<_>>(),
+        "fused vs reference flush-PHT plan"
+    );
+}
+
+/// Instrumented metrics honor the job's context switches on every
+/// path: gcc PAg(12) under the paper's model reports the same accuracy
+/// counters (switches included) whether it asks for accuracy only, a
+/// miss breakdown, fetch statistics or both, and the reference path
+/// returns every metric the fast path does, bit for bit.
+#[test]
+fn instrumented_metrics_honor_context_switches_on_every_path() {
+    use tlabp::sim::engine::execute;
+    use tlabp::sim::plan::{Job, MetricSet, Plan, TargetCacheSpec};
+    use tlabp::sim::TraceStore;
+
+    let gcc = Benchmark::by_name("gcc").expect("gcc exists");
+    let fetch = Some(TargetCacheSpec::PAPER_DEFAULT);
+    let metric_sets = [
+        MetricSet::ACCURACY,
+        MetricSet { miss_breakdown: true, fetch: None },
+        MetricSet { miss_breakdown: false, fetch },
+        MetricSet { miss_breakdown: true, fetch },
+    ];
+    let jobs: Vec<Job> = metric_sets
+        .iter()
+        .flat_map(|&metrics| {
+            let job = Job::scheme(SchemeConfig::pag(12), gcc)
+                .with_sim(SimConfig::paper_context_switch())
+                .with_metrics(metrics);
+            [job.clone(), job.with_reference_path(true)]
+        })
+        .collect();
+    let plan: Plan = jobs.iter().cloned().collect();
+    let results = execute(&plan, &TraceStore::from_env());
+    let accuracy_only = &results.outcome(0).metrics().expect("measured").sim;
+    assert!(accuracy_only.context_switches > 0, "gcc has traps");
+    for (index, job) in jobs.iter().enumerate() {
+        let what = format!("{:?}, reference path {}", job.metrics, job.reference_path);
+        let metrics = results.outcome(index).metrics().expect("measured");
+        assert_eq!(&metrics.sim, accuracy_only, "accuracy counters diverged for {what}");
+        assert_eq!(metrics.miss_breakdown.is_some(), job.metrics.miss_breakdown, "{what}");
+        assert_eq!(metrics.fetch.is_some(), job.metrics.fetch.is_some(), "{what}");
+        if job.reference_path {
+            assert_eq!(results.outcome(index), results.outcome(index - 1), "{what}");
         }
     }
 }
@@ -151,11 +309,11 @@ fn engine_paths_agree_for_every_lowering() {
 }
 
 /// Fusion is invisible: for every catalog scheme — including the
-/// context-switch variants, which are fusion-ineligible and must fall
-/// back to per-cell execution inside a fused plan — a fused plan, the
-/// same plan with fusion disabled, and the same plan forced onto the
-/// reference path produce identical outcomes job for job: measured
-/// counters and skip reasons alike.
+/// context-switch variants, which fuse in batches of their own under
+/// one switch schedule — a fused plan, the same plan with fusion
+/// disabled, and the same plan forced onto the reference path produce
+/// identical outcomes job for job: measured counters and skip reasons
+/// alike.
 #[test]
 fn fused_per_cell_and_reference_plans_agree_job_for_job() {
     use tlabp::sim::engine::execute;
@@ -197,9 +355,9 @@ fn fused_per_cell_and_reference_plans_agree_job_for_job() {
 }
 
 /// A fused batch's composition never affects its members: every catalog
-/// scheme measured alone in its own single-job fused plan matches the
-/// outcome it gets inside the all-schemes fused plan (where it shares
-/// batches with 15 other predictors).
+/// scheme measured alone in its own single-job plan matches the outcome
+/// it gets inside the all-schemes plan (where the switching half shares
+/// one fused batch of 16 predictors and one switch schedule).
 #[test]
 fn fused_outcomes_are_independent_of_batch_composition() {
     use tlabp::sim::engine::execute;
@@ -207,10 +365,7 @@ fn fused_outcomes_are_independent_of_batch_composition() {
     use tlabp::sim::TraceStore;
 
     let li = Benchmark::by_name("li").expect("li exists");
-    // The no-switch half of the catalog: every scheme that actually
-    // lowers to the fusible packed path.
-    let fusible: Vec<SchemeConfig> =
-        catalog().into_iter().filter(|config| !config.context_switch()).collect();
+    let fusible = catalog();
     let store = TraceStore::from_env();
     let multi: Plan = fusible.iter().map(|&config| Job::scheme(config, li)).collect();
     let multi_out = execute(&multi, &store);
@@ -268,7 +423,7 @@ fn replay_is_bit_identical_for_every_scheme_and_automaton() {
                     config.build_any().expect("builds")
                 }
             };
-            let packed_result = simulate_packed(&mut build(), &trace.pack_conditionals());
+            let packed_result = simulate_packed(&mut build(), &trace.pack_conditionals(), &[]);
 
             // Both bodies of the transposed kernel reproduce the packed
             // fast path bit for bit — scheme × automaton × trace.

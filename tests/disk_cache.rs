@@ -37,7 +37,7 @@ fn scratch_dir(test: &str) -> PathBuf {
 
 /// A plan exercising every persisted form on one benchmark: replay jobs
 /// (pattern streams, two distinct keys), a fused job (interned stream)
-/// and a context-switch job (full trace).
+/// and a context-switch job (its switch schedule reads the full trace).
 fn plan() -> Plan {
     let li = Benchmark::by_name("li").expect("li exists");
     [

@@ -121,7 +121,8 @@ fn cold_store_prefetch_matches_lazy_across_pool_sizes() {
     use tlabp::sim::plan::{Job, Plan};
     use tlabp::workloads::Benchmark;
 
-    // Replay-lowered, fused and full-trace jobs in one plan, so every
+    // Replay-lowered, fused and context-switching jobs (whose switch
+    // schedules read the full trace) in one plan, so every
     // ingestion product (trace, packed, interned, pattern streams) is in
     // play on the cold path.
     let plan: Plan = [Benchmark::by_name("li").unwrap(), Benchmark::by_name("eqntott").unwrap()]
