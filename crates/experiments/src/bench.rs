@@ -56,25 +56,25 @@
 //! `results/BENCH_scaling.csv`; the peak aggregate rate folds into
 //! `BENCH_sweep.json`.
 //!
-//! **service** — the sweep daemon under 64 concurrent clients, the
-//! event-driven connection core ([`tlabp_service::event`]) against the
-//! thread-per-connection baseline, in two regimes:
+//! **service** — the sweep daemon's event-driven connection core
+//! ([`tlabp_service::event`]) under 64 concurrent clients, in two
+//! regimes:
 //!
 //! * **cold** — memoization disabled, one cheap job per plan: every
-//!   submission simulates, so the cell is simulation-bound and the
-//!   backends should tie;
+//!   submission simulates, so the cell is simulation-bound;
 //! * **memo** — a catalog-wide 27-job plan submitted repeatedly after
 //!   one warm execution: every timed submission is a memo hit, so the
-//!   cell isolates the connection-handling asymmetry (the event core
-//!   answers hits from the raw payload without parsing the plan and
-//!   writes response frames in readiness-sized batches; the threaded
-//!   loop parses and re-renders every plan and flushes every frame).
+//!   cell isolates connection handling (the event core answers hits
+//!   from the raw payload without parsing the plan and writes response
+//!   frames in readiness-sized batches).
 //!
 //! Every timed response is `read_exact` into a buffer and byte-compared
 //! against frames encoded from an in-process `execute` of the same plan
 //! — throughput numbers only count if the daemon's answers are
-//! bit-identical. Lands in `results/BENCH_service.csv`; the memo-hit
-//! event-vs-threaded speedup folds into `BENCH_sweep.json`.
+//! bit-identical. Lands in `BENCH_service.csv` and the `service` block
+//! of `BENCH_sweep.json`. The committed `results/` copies are the
+//! historical event-vs-threaded record, measured while the daemon still
+//! had a thread-per-connection loop.
 //!
 //! **stream** — chunked streaming replay
 //! ([`tlabp_sim::StreamCursor`]) against the fully hydrated walk, on a
@@ -745,21 +745,20 @@ fn service_drive(
     }
 }
 
-/// The **service** section: event core vs threaded baseline under
-/// concurrent load. Iteration count is ignored — each cell already
-/// aggregates over `clients x rounds` submissions.
+/// The **service** section: the event core under concurrent load.
+/// Iteration count is ignored — each cell already aggregates over
+/// `clients x rounds` submissions.
 fn service_section(ctx: &Ctx, _iterations: u32, threads: usize) -> String {
     use std::sync::Arc;
     use std::time::Duration;
     use tlabp_service::proto::{encode_frame, FrameKind};
     use tlabp_service::{
-        Client, MemoDirMode, ServeBackend, ServeConfig, SweepServer, DEFAULT_INFLIGHT,
-        DEFAULT_MEMO_BYTES,
+        Client, MemoDirMode, ServeConfig, SweepServer, DEFAULT_INFLIGHT, DEFAULT_MEMO_BYTES,
     };
 
     // Memo-hit plan: three schemes across the whole catalog — 27 jobs of
     // canonical JSON per submission and 28 response frames, the shape
-    // that exposes the backends' per-plan overhead asymmetry.
+    // that exposes per-plan connection-handling overhead.
     let memo_plan: Plan = [SchemeConfig::pag(12), SchemeConfig::gag(10), SchemeConfig::gsg(6)]
         .iter()
         .flat_map(|&config| {
@@ -789,15 +788,13 @@ fn service_section(ctx: &Ctx, _iterations: u32, threads: usize) -> String {
     let memo_expected = Arc::new(service_expected_bytes(&memo_plan, &memo_results, true));
     let cold_expected = Arc::new(service_expected_bytes(&cold_plan, &cold_results, false));
 
-    let spawn_server = |backend: ServeBackend, memo_bytes: usize| -> String {
+    let spawn_server = |memo_bytes: usize| -> String {
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
             memo_bytes,
-            window: None,
             inflight: DEFAULT_INFLIGHT,
             memo_dir: MemoDirMode::Off,
             memo_disk_bytes: None,
-            backend,
         };
         let server = SweepServer::bind(&config, ctx.store().clone(), ExecOptions::default())
             .expect("bench daemon binds");
@@ -806,8 +803,35 @@ fn service_section(ctx: &Ctx, _iterations: u32, threads: usize) -> String {
         addr
     };
 
+    // Cold cell: memoization off, one submission per client.
+    let addr = spawn_server(0);
+    let cold =
+        service_drive(&addr, SERVICE_CLIENTS, 1, &cold_frame, &cold_expected, cold_plan.len() + 1);
+
+    // Memo cell: one untimed warm execution through the structured
+    // client (verifying the decoded results too), then every timed
+    // submission is a memo hit.
+    let addr = spawn_server(DEFAULT_MEMO_BYTES);
+    let mut client =
+        Client::connect_with_retry(&addr, Duration::from_secs(10)).expect("bench daemon reachable");
+    let (warm, done) = client.execute(&memo_plan).expect("warm submission");
+    assert!(!done.memo, "the first submission must simulate");
+    assert_eq!(
+        warm.to_json_string(),
+        memo_results.to_json_string(),
+        "daemon results must be bit-identical to the in-process execution"
+    );
+    drop(client);
+    let memo = service_drive(
+        &addr,
+        SERVICE_CLIENTS,
+        SERVICE_MEMO_ROUNDS,
+        &memo_frame,
+        &memo_expected,
+        memo_plan.len() + 1,
+    );
+
     let mut table = Table::new(vec![
-        "backend".into(),
         "mode".into(),
         "clients".into(),
         "plans".into(),
@@ -817,79 +841,30 @@ fn service_section(ctx: &Ctx, _iterations: u32, threads: usize) -> String {
         "p99 ms".into(),
     ]);
     let mut rows = Vec::new();
-    let mut threaded_memo_rate = 0.0f64;
-    let mut event_memo_rate = 0.0f64;
-    for backend in [ServeBackend::Threaded, ServeBackend::Auto] {
-        let label = match backend {
-            ServeBackend::Threaded => "threaded",
-            _ => "event",
-        };
-
-        // Cold cell: memoization off, one submission per client.
-        let addr = spawn_server(backend, 0);
-        let cold = service_drive(
-            &addr,
-            SERVICE_CLIENTS,
-            1,
-            &cold_frame,
-            &cold_expected,
-            cold_plan.len() + 1,
-        );
-
-        // Memo cell: one untimed warm execution through the structured
-        // client (verifying the decoded results too), then every timed
-        // submission is a memo hit.
-        let addr = spawn_server(backend, DEFAULT_MEMO_BYTES);
-        let mut client = Client::connect_with_retry(&addr, Duration::from_secs(10))
-            .expect("bench daemon reachable");
-        let (warm, done) = client.execute(&memo_plan).expect("warm submission");
-        assert!(!done.memo, "the first submission must simulate");
-        assert_eq!(
-            warm.to_json_string(),
-            memo_results.to_json_string(),
-            "daemon results must be bit-identical to the in-process execution"
-        );
-        drop(client);
-        let memo = service_drive(
-            &addr,
-            SERVICE_CLIENTS,
-            SERVICE_MEMO_ROUNDS,
-            &memo_frame,
-            &memo_expected,
-            memo_plan.len() + 1,
-        );
-        match backend {
-            ServeBackend::Threaded => threaded_memo_rate = memo.plans_per_s,
-            _ => event_memo_rate = memo.plans_per_s,
-        }
-
-        for (mode, rounds, cell) in [("cold", 1, &cold), ("memo", SERVICE_MEMO_ROUNDS, &memo)] {
-            let plans = SERVICE_CLIENTS * rounds;
-            table.push_row(vec![
-                label.into(),
-                mode.into(),
-                SERVICE_CLIENTS.to_string(),
-                plans.to_string(),
-                format!("{:.1}", cell.plans_per_s),
-                format!("{:.1}", cell.frames_per_s),
-                format!("{:.3}", cell.p50_ms),
-                format!("{:.3}", cell.p99_ms),
-            ]);
-            rows.push(format!(
-                "      {{ \"backend\": \"{label}\", \"mode\": \"{mode}\", \
-                 \"plans\": {plans}, \"seconds\": {:.6}, \"plans_per_s\": {:.1}, \
-                 \"frames_per_s\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3} }}",
-                cell.seconds, cell.plans_per_s, cell.frames_per_s, cell.p50_ms, cell.p99_ms
-            ));
-        }
+    for (mode, rounds, cell) in [("cold", 1, &cold), ("memo", SERVICE_MEMO_ROUNDS, &memo)] {
+        let plans = SERVICE_CLIENTS * rounds;
+        table.push_row(vec![
+            mode.into(),
+            SERVICE_CLIENTS.to_string(),
+            plans.to_string(),
+            format!("{:.1}", cell.plans_per_s),
+            format!("{:.1}", cell.frames_per_s),
+            format!("{:.3}", cell.p50_ms),
+            format!("{:.3}", cell.p99_ms),
+        ]);
+        rows.push(format!(
+            "      {{ \"mode\": \"{mode}\", \"plans\": {plans}, \"seconds\": {:.6}, \
+             \"plans_per_s\": {:.1}, \"frames_per_s\": {:.1}, \"p50_ms\": {:.3}, \
+             \"p99_ms\": {:.3} }}",
+            cell.seconds, cell.plans_per_s, cell.frames_per_s, cell.p50_ms, cell.p99_ms
+        ));
     }
 
-    let memo_speedup = event_memo_rate / threaded_memo_rate;
     ctx.emit_with_meta(
         "BENCH_service",
         &format!(
-            "Sweep service: {SERVICE_CLIENTS} concurrent clients, event core vs threaded \
-             baseline (memo-hit speedup {memo_speedup:.2}x), every response byte-verified"
+            "Sweep service: {SERVICE_CLIENTS} concurrent clients on the event core, every \
+             response byte-verified"
         ),
         &host_meta(threads),
         &table,
@@ -898,10 +873,9 @@ fn service_section(ctx: &Ctx, _iterations: u32, threads: usize) -> String {
     format!(
         "  \"service\": {{\n    \
            \"benchmark\": \"{SERVICE_CLIENTS} concurrent clients, cold vs memo-hit plans, \
-           event core vs threaded baseline, responses byte-verified\",\n    \
+           event core, responses byte-verified\",\n    \
            \"clients\": {SERVICE_CLIENTS},\n    \
            \"memo_plan_jobs\": {jobs},\n    \
-           \"memo_speedup\": {memo_speedup:.3},\n    \
            \"rows\": [\n{rows}\n    ]\n  }}",
         jobs = memo_plan.len(),
         rows = rows.join(",\n"),

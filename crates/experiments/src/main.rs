@@ -21,6 +21,8 @@
 //! wire forms, so a result produced by the daemon can be diffed
 //! bit-for-bit against an in-process execution of the same plan.
 
+#![forbid(unsafe_code)]
+
 use std::env;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -407,10 +409,9 @@ fn cmd_exec(input: Option<&str>, out_dir: &Path) -> ExitCode {
 }
 
 /// `experiments serve`: run the sweep daemon per `TLABP_SERVE_ADDR` /
-/// `TLABP_SERVE_BACKEND` / `TLABP_SERVE_INFLIGHT` /
-/// `TLABP_SERVE_MEMO_BYTES` / `TLABP_SERVE_MEMO_DIR` /
-/// `TLABP_SERVE_WINDOW`, sharing one warm trace store and the global
-/// worker pool across every connection.
+/// `TLABP_SERVE_INFLIGHT` / `TLABP_SERVE_MEMO_BYTES` /
+/// `TLABP_SERVE_MEMO_DIR` / `TLABP_SERVE_MEMO_DISK_BYTES`, sharing one
+/// warm trace store and the global worker pool across every connection.
 fn cmd_serve() -> ExitCode {
     figures::register_custom_predictors();
     let config = tlabp_service::ServeConfig::from_env();
@@ -577,9 +578,8 @@ fn print_usage() {
         tlabp_service::DEFAULT_SERVE_ADDR
     );
     println!(
-        "`serve` additionally honors TLABP_SERVE_BACKEND, TLABP_SERVE_INFLIGHT,\n\
-         TLABP_SERVE_MEMO_BYTES, TLABP_SERVE_MEMO_DIR, TLABP_SERVE_MEMO_DISK_BYTES\n\
-         and TLABP_SERVE_WINDOW."
+        "`serve` (unix only) additionally honors TLABP_SERVE_INFLIGHT,\n\
+         TLABP_SERVE_MEMO_BYTES, TLABP_SERVE_MEMO_DIR and TLABP_SERVE_MEMO_DISK_BYTES."
     );
     println!(
         "`import` decodes a TLBE execution-trace capture (or a built-in demo when no\n\

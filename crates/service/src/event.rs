@@ -1,16 +1,15 @@
 //! Event-driven connection core: every client served from a fixed set
 //! of threads.
 //!
-//! The thread-per-connection loop the daemon started with costs one OS
-//! thread per client — fine for a handful of interactive sessions,
-//! hostile to hundreds of sweep clients. This module replaces it with a
-//! readiness loop:
+//! A thread per connection costs one OS thread per client — fine for a
+//! handful of interactive sessions, hostile to hundreds of sweep
+//! clients. The daemon serves every connection from one readiness loop
+//! instead:
 //!
-//! * **One I/O thread** runs a level-triggered `Poller` — `epoll` on
-//!   Linux, portable `poll(2)` everywhere else on unix — over the
-//!   listener, a self-pipe waker, and every client socket, all
-//!   nonblocking. The two syscall shims are the only unsafe code in the
-//!   crate, confined to the `sys` module.
+//! * **One I/O thread** runs a level-triggered `Poller` on portable
+//!   `poll(2)` over the listener, a self-pipe waker, and every client
+//!   socket, all nonblocking. The one `poll` call is the only unsafe
+//!   code in the crate, confined to the `sys` module.
 //! * **Per-connection state machines** (`Conn`) reassemble frames
 //!   from arbitrarily fragmented reads
 //!   ([`crate::proto::FrameAssembler`], hard-capped at
@@ -86,16 +85,15 @@ fn next_backoff(current: Duration) -> Duration {
 }
 
 // ---------------------------------------------------------------------
-// Raw readiness syscalls. std exposes no readiness API and external
-// crates are off the table, so `epoll`/`poll` are declared against the
-// libc std already links. This module is the crate's entire unsafe
-// surface; everything above it is safe Rust over `RawFd`s owned by std
-// types.
+// The raw readiness syscall. std exposes no readiness API and external
+// crates are off the table, so `poll(2)` is declared against the libc
+// std already links. This module is the crate's entire unsafe surface:
+// one `extern "C"` function and one call. Everything else is safe Rust
+// over `RawFd`s owned by std types.
 #[allow(unsafe_code)]
 mod sys {
     use std::ffi::{c_int, c_short, c_ulong};
     use std::io;
-    use std::os::unix::io::RawFd;
 
     pub(super) const POLLIN: c_short = 0x001;
     pub(super) const POLLOUT: c_short = 0x004;
@@ -133,120 +131,6 @@ mod sys {
         }
         Ok(rc as usize)
     }
-
-    #[cfg(target_os = "linux")]
-    pub(super) mod epoll {
-        use super::{c_int, io, RawFd};
-
-        pub(crate) const EPOLLIN: u32 = 0x001;
-        pub(crate) const EPOLLOUT: u32 = 0x004;
-        pub(crate) const EPOLLERR: u32 = 0x008;
-        pub(crate) const EPOLLHUP: u32 = 0x010;
-        const EPOLL_CTL_ADD: c_int = 1;
-        const EPOLL_CTL_DEL: c_int = 2;
-        const EPOLL_CTL_MOD: c_int = 3;
-        const EPOLL_CLOEXEC: c_int = 0o200_0000;
-
-        /// `struct epoll_event`; packed on x86-64, where the kernel ABI
-        /// leaves the u64 payload unaligned.
-        #[derive(Debug, Clone, Copy)]
-        #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-        #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-        pub(crate) struct Event {
-            pub(crate) events: u32,
-            pub(crate) data: u64,
-        }
-
-        extern "C" {
-            fn epoll_create1(flags: c_int) -> c_int;
-            fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut Event) -> c_int;
-            fn epoll_wait(
-                epfd: c_int,
-                events: *mut Event,
-                maxevents: c_int,
-                timeout: c_int,
-            ) -> c_int;
-            fn close(fd: c_int) -> c_int;
-        }
-
-        /// An owned epoll instance; the fd is closed on drop.
-        #[derive(Debug)]
-        pub(crate) struct Epoll {
-            epfd: RawFd,
-        }
-
-        impl Epoll {
-            pub(crate) fn new() -> io::Result<Epoll> {
-                // SAFETY: epoll_create1 takes no pointers.
-                let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-                if epfd < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(Epoll { epfd })
-            }
-
-            fn ctl(&self, op: c_int, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-                let mut event = Event { events, data };
-                // SAFETY: `event` outlives the call (the kernel copies
-                // it) and is ignored for EPOLL_CTL_DEL.
-                let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut event) };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(())
-            }
-
-            pub(crate) fn add(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-                self.ctl(EPOLL_CTL_ADD, fd, events, data)
-            }
-
-            pub(crate) fn modify(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
-                self.ctl(EPOLL_CTL_MOD, fd, events, data)
-            }
-
-            pub(crate) fn del(&self, fd: RawFd) -> io::Result<()> {
-                self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
-            }
-
-            /// Waits for readiness; `timeout_ms < 0` blocks. Returns how
-            /// many entries of `buf` were filled (0 on timeout or EINTR).
-            pub(crate) fn wait(&self, buf: &mut [Event], timeout_ms: c_int) -> io::Result<usize> {
-                // SAFETY: `buf` is a valid exclusively borrowed slice;
-                // maxevents is its exact length (nonzero by the caller).
-                let rc = unsafe {
-                    epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms)
-                };
-                if rc < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        return Ok(0);
-                    }
-                    return Err(err);
-                }
-                Ok(rc as usize)
-            }
-        }
-
-        impl Drop for Epoll {
-            fn drop(&mut self) {
-                // SAFETY: `epfd` is owned by this instance and closed
-                // exactly once.
-                unsafe {
-                    close(self.epfd);
-                }
-            }
-        }
-    }
-}
-
-/// Which readiness mechanism a [`Poller`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PollerBackend {
-    /// Linux `epoll` — O(ready) wakeups.
-    Epoll,
-    /// Portable `poll(2)` — O(registered) per wait, fine for hundreds
-    /// of fds, available on every unix.
-    Poll,
 }
 
 /// One readiness report from [`Poller::wait`].
@@ -268,129 +152,30 @@ struct Slot {
     write: bool,
 }
 
-#[derive(Debug)]
-enum PollerImp {
-    #[cfg(target_os = "linux")]
-    Epoll {
-        epoll: sys::epoll::Epoll,
-        buf: Vec<sys::epoll::Event>,
-        registered: usize,
-    },
-    Poll {
-        interest: Vec<Slot>,
-        fds: Vec<sys::PollFd>,
-    },
-}
-
-/// Level-triggered readiness over raw fds, keyed by caller tokens.
-#[derive(Debug)]
+/// Level-triggered readiness over raw fds, keyed by caller tokens, on
+/// portable `poll(2)`: an interest list rebuilt into a `pollfd` buffer
+/// per wait, O(registered) per call — fine for hundreds of fds.
+#[derive(Debug, Default)]
 pub(crate) struct Poller {
-    imp: PollerImp,
+    interest: Vec<Slot>,
+    fds: Vec<sys::PollFd>,
 }
 
 impl Poller {
-    /// Opens a poller. Asking for [`PollerBackend::Epoll`] off Linux
-    /// (or when `epoll_create1` fails) falls back to `poll` with a
-    /// warning rather than erroring: the two are behaviorally
-    /// interchangeable here.
-    pub(crate) fn new(backend: PollerBackend) -> Poller {
-        #[cfg(target_os = "linux")]
-        if backend == PollerBackend::Epoll {
-            match sys::epoll::Epoll::new() {
-                Ok(epoll) => {
-                    return Poller {
-                        imp: PollerImp::Epoll { epoll, buf: Vec::new(), registered: 0 },
-                    }
-                }
-                Err(err) => {
-                    eprintln!("tlabp-serve: epoll unavailable ({err}); falling back to poll");
-                }
-            }
-        }
-        #[cfg(not(target_os = "linux"))]
-        if backend == PollerBackend::Epoll {
-            eprintln!("tlabp-serve: epoll is Linux-only; falling back to poll");
-        }
-        Poller { imp: PollerImp::Poll { interest: Vec::new(), fds: Vec::new() } }
+    pub(crate) fn register(&mut self, fd: RawFd, token: usize, read: bool, write: bool) {
+        self.interest.retain(|slot| slot.fd != fd);
+        self.interest.push(Slot { fd, token, read, write });
     }
 
-    /// The backend actually in use (after any fallback).
-    pub(crate) fn backend(&self) -> PollerBackend {
-        match self.imp {
-            #[cfg(target_os = "linux")]
-            PollerImp::Epoll { .. } => PollerBackend::Epoll,
-            PollerImp::Poll { .. } => PollerBackend::Poll,
+    pub(crate) fn reregister(&mut self, fd: RawFd, token: usize, read: bool, write: bool) {
+        match self.interest.iter_mut().find(|slot| slot.fd == fd) {
+            Some(slot) => *slot = Slot { fd, token, read, write },
+            None => self.interest.push(Slot { fd, token, read, write }),
         }
     }
 
-    fn backend_name(&self) -> &'static str {
-        match self.backend() {
-            PollerBackend::Epoll => "epoll",
-            PollerBackend::Poll => "poll",
-        }
-    }
-
-    pub(crate) fn register(
-        &mut self,
-        fd: RawFd,
-        token: usize,
-        read: bool,
-        write: bool,
-    ) -> std::io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            PollerImp::Epoll { epoll, registered, .. } => {
-                epoll.add(fd, epoll_mask(read, write), token as u64)?;
-                *registered += 1;
-                Ok(())
-            }
-            PollerImp::Poll { interest, .. } => {
-                interest.retain(|slot| slot.fd != fd);
-                interest.push(Slot { fd, token, read, write });
-                Ok(())
-            }
-        }
-    }
-
-    pub(crate) fn reregister(
-        &mut self,
-        fd: RawFd,
-        token: usize,
-        read: bool,
-        write: bool,
-    ) -> std::io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            PollerImp::Epoll { epoll, .. } => {
-                epoll.modify(fd, epoll_mask(read, write), token as u64)
-            }
-            PollerImp::Poll { interest, .. } => {
-                for slot in interest.iter_mut() {
-                    if slot.fd == fd {
-                        slot.token = token;
-                        slot.read = read;
-                        slot.write = write;
-                        return Ok(());
-                    }
-                }
-                interest.push(Slot { fd, token, read, write });
-                Ok(())
-            }
-        }
-    }
-
-    pub(crate) fn deregister(&mut self, fd: RawFd) -> std::io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            PollerImp::Epoll { epoll, registered, .. } => {
-                *registered = registered.saturating_sub(1);
-                epoll.del(fd)
-            }
-            PollerImp::Poll { interest, .. } => {
-                interest.retain(|slot| slot.fd != fd);
-                Ok(())
-            }
-        }
+    pub(crate) fn deregister(&mut self, fd: RawFd) {
+        self.interest.retain(|slot| slot.fd != fd);
     }
 
     /// Waits for readiness, clearing and filling `out`. `None` blocks
@@ -403,54 +188,28 @@ impl Poller {
         out.clear();
         let timeout_ms =
             timeout.map_or(-1i32, |d| i32::try_from(d.as_millis()).unwrap_or(i32::MAX));
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            PollerImp::Epoll { epoll, buf, registered } => {
-                buf.resize((*registered).max(16), sys::epoll::Event { events: 0, data: 0 });
-                let n = epoll.wait(buf, timeout_ms)?;
-                for ev in &buf[..n] {
-                    let events = ev.events;
-                    let data = ev.data;
-                    out.push(Readiness {
-                        token: data as usize,
-                        readable: events & sys::epoll::EPOLLIN != 0,
-                        writable: events & sys::epoll::EPOLLOUT != 0,
-                        error: events & (sys::epoll::EPOLLERR | sys::epoll::EPOLLHUP) != 0,
-                    });
-                }
-                Ok(())
-            }
-            PollerImp::Poll { interest, fds } => {
-                fds.clear();
-                fds.extend(interest.iter().map(|slot| sys::PollFd {
-                    fd: slot.fd,
-                    events: if slot.read { sys::POLLIN } else { 0 }
-                        | if slot.write { sys::POLLOUT } else { 0 },
-                    revents: 0,
-                }));
-                let n = sys::poll_fds(fds, timeout_ms)?;
-                if n > 0 {
-                    for (slot, fd) in interest.iter().zip(fds.iter()) {
-                        if fd.revents != 0 {
-                            out.push(Readiness {
-                                token: slot.token,
-                                readable: fd.revents & sys::POLLIN != 0,
-                                writable: fd.revents & sys::POLLOUT != 0,
-                                error: fd.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL)
-                                    != 0,
-                            });
-                        }
-                    }
-                }
-                Ok(())
+        self.fds.clear();
+        self.fds.extend(self.interest.iter().map(|slot| sys::PollFd {
+            fd: slot.fd,
+            events: if slot.read { sys::POLLIN } else { 0 }
+                | if slot.write { sys::POLLOUT } else { 0 },
+            revents: 0,
+        }));
+        if sys::poll_fds(&mut self.fds, timeout_ms)? == 0 {
+            return Ok(());
+        }
+        for (slot, fd) in self.interest.iter().zip(&self.fds) {
+            if fd.revents != 0 {
+                out.push(Readiness {
+                    token: slot.token,
+                    readable: fd.revents & sys::POLLIN != 0,
+                    writable: fd.revents & sys::POLLOUT != 0,
+                    error: fd.revents & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0,
+                });
             }
         }
+        Ok(())
     }
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_mask(read: bool, write: bool) -> u32 {
-    (if read { sys::epoll::EPOLLIN } else { 0 }) | (if write { sys::epoll::EPOLLOUT } else { 0 })
 }
 
 /// The I/O thread's end of the self-pipe: a nonblocking socketpair
@@ -857,21 +616,19 @@ fn should_close(conn: &Conn) -> bool {
     flushed && (conn.closing || (conn.read_closed && conn.responses.is_empty()))
 }
 
-fn update_interest(conn: &mut Conn, poller: &mut Poller, token: usize) -> std::io::Result<()> {
+fn update_interest(conn: &mut Conn, poller: &mut Poller, token: usize) {
     let want_read = !conn.read_closed && !conn.closing && conn.responses.len() < MAX_PIPELINE;
     let want_write = conn.unsent() > 0;
     if want_read != conn.want_read || want_write != conn.want_write {
         conn.want_read = want_read;
         conn.want_write = want_write;
-        poller.reregister(conn.stream.as_raw_fd(), token, want_read, want_write)?;
+        poller.reregister(conn.stream.as_raw_fd(), token, want_read, want_write);
     }
-    Ok(())
 }
 
 /// Event-core knobs resolved by the server from its [`ServeConfig`]
 /// (see [`crate::server::ServeConfig`]).
 pub(crate) struct EventConfig {
-    pub(crate) backend: PollerBackend,
     /// Per-connection concurrent-plan cap (`TLABP_SERVE_INFLIGHT`).
     pub(crate) inflight: usize,
     /// Executor pool size.
@@ -883,7 +640,7 @@ pub(crate) struct EventConfig {
 /// of the number of connections.
 pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventConfig) -> ! {
     listener.set_nonblocking(true).expect("nonblocking listener");
-    let mut poller = Poller::new(config.backend);
+    let mut poller = Poller::default();
     let mut waker = Waker::new().expect("waker socketpair");
 
     let (job_tx, job_rx) = mpsc::channel::<ExecJob>();
@@ -898,8 +655,8 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventCo
             .expect("spawn executor thread");
     }
 
-    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false).expect("register listener");
-    poller.register(waker.fd(), TOKEN_WAKER, true, false).expect("register waker");
+    poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false);
+    poller.register(waker.fd(), TOKEN_WAKER, true, false);
 
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
@@ -939,11 +696,8 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventCo
         // Resume a backed-off listener once its deadline passes.
         if accept_resume.is_some_and(|at| Instant::now() >= at) {
             accept_resume = None;
-            if poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false).is_ok() {
-                accept_ready = true;
-            } else {
-                accept_resume = Some(Instant::now() + backoff);
-            }
+            poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false);
+            accept_ready = true;
         }
 
         if accept_ready && accept_resume.is_none() {
@@ -958,9 +712,8 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventCo
                         let _ = stream.set_nodelay(true);
                         let token = next_token;
                         next_token += 1;
-                        if poller.register(stream.as_raw_fd(), token, true, false).is_ok() {
-                            conns.insert(token, Conn::new(stream, peer.to_string()));
-                        }
+                        poller.register(stream.as_raw_fd(), token, true, false);
+                        conns.insert(token, Conn::new(stream, peer.to_string()));
                     }
                     Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
@@ -971,7 +724,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventCo
                         eprintln!(
                             "tlabp-serve: accept failed: {err}; pausing accepts for {backoff:?}"
                         );
-                        let _ = poller.deregister(listener.as_raw_fd());
+                        poller.deregister(listener.as_raw_fd());
                         accept_resume = Some(Instant::now() + backoff);
                         backoff = next_backoff(backoff);
                         break;
@@ -994,13 +747,11 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventCo
                 dead.push(token);
                 continue;
             }
-            if update_interest(conn, &mut poller, token).is_err() {
-                dead.push(token);
-            }
+            update_interest(conn, &mut poller, token);
         }
         for token in dead.drain(..) {
             if let Some(conn) = conns.remove(&token) {
-                let _ = poller.deregister(conn.stream.as_raw_fd());
+                poller.deregister(conn.stream.as_raw_fd());
                 drop(conn); // dropping the stream closes the socket and
                             // unblocks any executor mid-plan
             }
@@ -1008,7 +759,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>, config: &EventCo
 
         if last_stats.elapsed() >= STATS_PERIOD {
             last_stats = Instant::now();
-            let line = shared.stats_line(conns.len(), poller.backend_name());
+            let line = shared.stats_line(conns.len());
             if line != last_stats_line {
                 eprintln!("tlabp-serve: {line}");
                 last_stats_line = line;
@@ -1033,71 +784,84 @@ mod tests {
         assert_eq!(delay, ACCEPT_BACKOFF_MAX, "the schedule saturates at the max");
     }
 
-    fn backends() -> Vec<PollerBackend> {
-        let mut backends = vec![PollerBackend::Poll];
-        if cfg!(target_os = "linux") {
-            backends.push(PollerBackend::Epoll);
-        }
-        backends
-    }
-
     #[test]
     fn poller_reports_listener_and_connection_readiness() {
-        for backend in backends() {
-            let mut poller = Poller::new(backend);
-            assert_eq!(poller.backend(), backend, "no fallback expected on this host");
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            listener.set_nonblocking(true).expect("nonblocking");
-            poller.register(listener.as_raw_fd(), 7, true, false).expect("register");
+        let mut poller = Poller::default();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        poller.register(listener.as_raw_fd(), 7, true, false);
 
-            let mut events = Vec::new();
-            poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
-            assert!(events.is_empty(), "{backend:?}: nothing is ready before a client connects");
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
+        assert!(events.is_empty(), "nothing is ready before a client connects");
 
-            let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-            poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
-            assert!(
-                events.iter().any(|ev| ev.token == 7 && ev.readable),
-                "{backend:?}: pending accept must report the listener readable"
-            );
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
+        assert!(
+            events.iter().any(|ev| ev.token == 7 && ev.readable),
+            "pending accept must report the listener readable"
+        );
 
-            // A connected socket with write interest is writable at once.
-            client.set_nonblocking(true).expect("nonblocking client");
-            poller.register(client.as_raw_fd(), 9, false, true).expect("register client");
-            poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
-            assert!(
-                events.iter().any(|ev| ev.token == 9 && ev.writable),
-                "{backend:?}: an idle connected socket must be writable"
-            );
-            poller.deregister(client.as_raw_fd()).expect("deregister");
-            poller.deregister(listener.as_raw_fd()).expect("deregister listener");
-        }
+        // A connected socket with write interest is writable at once.
+        client.set_nonblocking(true).expect("nonblocking client");
+        poller.register(client.as_raw_fd(), 9, false, true);
+        poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
+        assert!(
+            events.iter().any(|ev| ev.token == 9 && ev.writable),
+            "an idle connected socket must be writable"
+        );
+        poller.deregister(client.as_raw_fd());
+        poller.deregister(listener.as_raw_fd());
+    }
+
+    /// `update_interest` toggles write interest as output is staged and
+    /// drained; a connection that stops asking must stop being reported
+    /// writable, and asking again must bring the reports back.
+    #[test]
+    fn reregister_drops_and_restores_write_interest() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (_server_side, _) = listener.accept().expect("accept");
+        let mut poller = Poller::default();
+        let fd = client.as_raw_fd();
+        let mut events = Vec::new();
+        let writable = |events: &[Readiness]| events.iter().any(|ev| ev.token == 9 && ev.writable);
+
+        poller.register(fd, 9, true, true);
+        poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
+        assert!(writable(&events), "an idle connected socket with write interest is writable");
+
+        poller.reregister(fd, 9, true, false);
+        poller.wait(&mut events, Some(Duration::from_millis(20))).expect("wait");
+        assert!(events.is_empty(), "dropping write interest stops writable reports: {events:?}");
+
+        poller.reregister(fd, 9, true, true);
+        poller.wait(&mut events, Some(Duration::from_secs(5))).expect("wait");
+        assert!(writable(&events), "restoring write interest brings writable reports back");
     }
 
     #[test]
     fn waker_unblocks_a_waiting_poller() {
-        for backend in backends() {
-            let mut poller = Poller::new(backend);
-            let mut waker = Waker::new().expect("waker");
-            poller.register(waker.fd(), TOKEN_WAKER, true, false).expect("register");
-            let handle = waker.handle();
-            let waking = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                handle.wake();
-            });
-            let mut events = Vec::new();
-            let start = Instant::now();
-            poller.wait(&mut events, Some(Duration::from_secs(10))).expect("wait");
-            assert!(
-                events.iter().any(|ev| ev.token == TOKEN_WAKER && ev.readable),
-                "{backend:?}: the wake byte must surface as waker readability"
-            );
-            assert!(start.elapsed() < Duration::from_secs(5), "woken, not timed out");
-            waker.drain();
-            // Coalesced wakes drain to quiescence: the next wait times out.
-            poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
-            assert!(events.is_empty(), "{backend:?}: drained waker is quiet");
-            waking.join().expect("waker thread");
-        }
+        let mut poller = Poller::default();
+        let mut waker = Waker::new().expect("waker");
+        poller.register(waker.fd(), TOKEN_WAKER, true, false);
+        let handle = waker.handle();
+        let waking = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            handle.wake();
+        });
+        let mut events = Vec::new();
+        let start = Instant::now();
+        poller.wait(&mut events, Some(Duration::from_secs(10))).expect("wait");
+        assert!(
+            events.iter().any(|ev| ev.token == TOKEN_WAKER && ev.readable),
+            "the wake byte must surface as waker readability"
+        );
+        assert!(start.elapsed() < Duration::from_secs(5), "woken, not timed out");
+        waker.drain();
+        // Coalesced wakes drain to quiescence: the next wait times out.
+        poller.wait(&mut events, Some(Duration::from_millis(10))).expect("wait");
+        assert!(events.is_empty(), "drained waker is quiet");
+        waking.join().expect("waker thread");
     }
 }

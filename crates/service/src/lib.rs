@@ -14,14 +14,12 @@
 //!   through.
 //! * [`server`] — [`server::SweepServer`]: one warm
 //!   [`TraceStore`](tlabp_sim::TraceStore) and the global worker pool
-//!   shared across all connections. The default backend is an
-//!   event-driven readiness loop ([`event`], epoll on Linux with a
-//!   portable `poll` fallback) that serves every connection from a
+//!   shared across all connections. One event-driven readiness loop
+//!   ([`event`], on portable `poll(2)`) serves every connection from a
 //!   fixed set of threads, with per-client admission control
 //!   (`TLABP_SERVE_INFLIGHT` plans in flight per connection, FIFO
-//!   beyond) and bounded per-connection output queues; the original
-//!   thread-per-connection loop survives as the `threaded` backend for
-//!   non-unix hosts and as the benchmark baseline.
+//!   beyond) and bounded per-connection output queues. The daemon is
+//!   unix-only.
 //! * memo tiers — a byte-capped LRU (`TLABP_SERVE_MEMO_BYTES`) of
 //!   pre-encoded response frames replayed byte-for-byte with zero
 //!   simulation work, persisted as checksummed memo artifacts next to
@@ -33,15 +31,14 @@
 //!   [`ResultSet`](tlabp_sim::ResultSet) bit-identical to an in-process
 //!   `execute` of the same plan.
 //!
-//! Unsafe code is confined to the raw `epoll`/`poll` syscall shim in
-//! [`event`]; every other module keeps the workspace-wide
-//! `deny(unsafe_code)` discipline.
+//! Unsafe code is confined to `event::sys`, which holds a single
+//! `extern "C" poll` and its one call; every other module keeps the
+//! crate-wide `deny(unsafe_code)` discipline.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-#[cfg(unix)]
 pub mod event;
 mod memo;
 pub mod proto;
@@ -50,7 +47,7 @@ pub mod server;
 pub use client::{Client, ResultStream};
 pub use proto::{Done, FrameError, FrameKind, PROTOCOL_VERSION};
 pub use server::{
-    serve, MemoDirMode, ServeBackend, ServeConfig, SweepServer, DEFAULT_INFLIGHT,
-    DEFAULT_MEMO_BYTES, DEFAULT_SERVE_ADDR, SERVE_ADDR_ENV, SERVE_BACKEND_ENV, SERVE_INFLIGHT_ENV,
-    SERVE_MEMO_BYTES_ENV, SERVE_MEMO_DIR_ENV, SERVE_MEMO_DISK_BYTES_ENV, SERVE_WINDOW_ENV,
+    serve, MemoDirMode, ServeConfig, SweepServer, DEFAULT_INFLIGHT, DEFAULT_MEMO_BYTES,
+    DEFAULT_SERVE_ADDR, SERVE_ADDR_ENV, SERVE_INFLIGHT_ENV, SERVE_MEMO_BYTES_ENV,
+    SERVE_MEMO_DIR_ENV, SERVE_MEMO_DISK_BYTES_ENV,
 };

@@ -594,7 +594,7 @@ type Task = Box<dyn FnOnce() -> Vec<(usize, JobOutcome)> + Send + 'static>;
 /// sessions across many submissions; the pool reference lets concurrent
 /// sessions share one set of workers.
 ///
-/// Scheduling is windowed: at most [`Session::with_window`] tasks from
+/// Scheduling is windowed: at most twice the pool width of tasks from
 /// this session sit in the shared pool queue at once (the rest wait in
 /// the stream), so a session streaming a thousand-job plan does not
 /// monopolize the queue — concurrent sessions' tasks interleave FIFO,
@@ -638,7 +638,7 @@ impl Session<'static> {
 impl<'p> Session<'p> {
     /// A session on an explicit pool.
     ///
-    /// The default window is twice the pool width: enough queued work to
+    /// The window is twice the pool width: enough queued work to
     /// keep every worker busy while the stream consumes, small enough
     /// that concurrent sessions interleave on the shared queue.
     #[must_use]
@@ -650,15 +650,6 @@ impl<'p> Session<'p> {
     #[must_use]
     pub fn with_options(mut self, options: ExecOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Replaces the admission window (clamped to at least 1): the
-    /// maximum number of this session's tasks in the shared pool queue
-    /// at once.
-    #[must_use]
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
         self
     }
 

@@ -1,17 +1,16 @@
 //! Acceptance tests for the sweep-as-a-service daemon.
 //!
-//! In-process servers (bound to ephemeral ports) back every scenario
-//! the issue's acceptance criteria name: concurrent clients each
-//! receive streamed result sets bit-identical to an in-process
-//! `execute` of the same plan — on the event-driven backend *and* the
-//! threaded baseline; repeated submissions are answered from the memo
-//! cache with zero simulation work (proven by a counting predictor
-//! builder), including across a daemon restart via the persistent memo
-//! tier; admission control holds pipelined plans to the per-connection
-//! in-flight cap in FIFO order; results arrive incrementally in plan
-//! order; a 64-client mixed cold/memo/malformed soak stays
-//! bit-identical throughout; and 256 idle connections on the event
-//! backend cost no additional threads.
+//! In-process servers (bound to ephemeral ports, served by the daemon's
+//! one `poll(2)` event core) back every scenario: concurrent clients
+//! each receive streamed result sets bit-identical to an in-process
+//! `execute` of the same plan; repeated submissions are answered from
+//! the memo cache with zero simulation work (proven by a counting
+//! predictor builder), including across a daemon restart via the
+//! persistent memo tier; admission control holds pipelined plans to the
+//! per-connection in-flight cap in FIFO order; results arrive
+//! incrementally in plan order; a 64-client mixed cold/memo/malformed
+//! soak stays bit-identical throughout; and 256 idle connections cost
+//! no additional threads.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -19,7 +18,7 @@ use std::time::Duration;
 
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::registry;
-use tlabp::service::{Client, MemoDirMode, ServeBackend, ServeConfig, SweepServer};
+use tlabp::service::{Client, MemoDirMode, ServeConfig, SweepServer};
 use tlabp::sim::engine::execute;
 use tlabp::sim::plan::{Job, Plan};
 use tlabp::sim::{ExecOptions, TraceStore};
@@ -35,11 +34,9 @@ fn server_config(memo_bytes: usize) -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
         memo_bytes,
-        window: None,
         inflight: 4,
         memo_dir: MemoDirMode::Off,
         memo_disk_bytes: None,
-        backend: ServeBackend::Auto,
     }
 }
 
@@ -59,8 +56,8 @@ fn connect(addr: &str) -> Client {
 
 /// A batch of distinct plans pipelined on one connection comes back in
 /// submission order, every response bit-identical to an in-process
-/// execution, on both backends. The batch is larger than the in-flight
-/// cap, so the tail of it exercises the FIFO queue.
+/// execution. The batch is larger than the in-flight cap, so the tail of
+/// it exercises the FIFO queue.
 #[test]
 fn pipelined_submissions_return_responses_in_submission_order() {
     let plans: Vec<Plan> = (6..=11)
@@ -70,22 +67,19 @@ fn pipelined_submissions_return_responses_in_submission_order() {
     let expected: Vec<String> =
         plans.iter().map(|plan| execute(plan, &store).to_json_string()).collect();
 
-    for backend in [ServeBackend::Auto, ServeBackend::Threaded] {
-        let mut config = server_config(64 << 20);
-        config.backend = backend;
-        config.inflight = 2;
-        let addr = spawn_server(config);
-        let mut client = connect(&addr);
-        let responses = client.execute_pipelined(&plans).expect("pipelined batch completes");
-        assert_eq!(responses.len(), plans.len());
-        for (index, ((results, done), want)) in responses.iter().zip(&expected).enumerate() {
-            assert!(!done.memo, "first sight of plan {index} must simulate");
-            assert_eq!(
-                &results.to_json_string(),
-                want,
-                "pipelined response {index} diverged from in-process execution ({backend:?})"
-            );
-        }
+    let mut config = server_config(64 << 20);
+    config.inflight = 2;
+    let addr = spawn_server(config);
+    let mut client = connect(&addr);
+    let responses = client.execute_pipelined(&plans).expect("pipelined batch completes");
+    assert_eq!(responses.len(), plans.len());
+    for (index, ((results, done), want)) in responses.iter().zip(&expected).enumerate() {
+        assert!(!done.memo, "first sight of plan {index} must simulate");
+        assert_eq!(
+            &results.to_json_string(),
+            want,
+            "pipelined response {index} diverged from in-process execution"
+        );
     }
 }
 
@@ -93,8 +87,6 @@ fn pipelined_submissions_return_responses_in_submission_order() {
 /// a `ResultSet` bit-identical (canonical JSON byte equality, not just
 /// `==`) to executing the same plan in-process. A third submission of
 /// the same plan is served from the memo cache, again byte-identical.
-/// Exercised on both the event-driven backend and the threaded
-/// baseline — their bytes must be indistinguishable.
 #[test]
 fn concurrent_clients_match_in_process_execution_bit_for_bit() {
     let plan_a: Plan = [
@@ -113,38 +105,29 @@ fn concurrent_clients_match_in_process_execution_bit_for_bit() {
     let expected_a = execute(&plan_a, &store).to_json_string();
     let expected_b = execute(&plan_b, &store).to_json_string();
 
-    for backend in [ServeBackend::Auto, ServeBackend::Threaded] {
-        let mut config = server_config(64 << 20);
-        config.backend = backend;
-        let addr = spawn_server(config);
-        let threads = [(plan_a.clone(), expected_a.clone()), (plan_b.clone(), expected_b.clone())]
-            .map(|(plan, expected)| {
-                let addr = addr.clone();
-                std::thread::spawn(move || {
-                    let (results, done) = connect(&addr).execute(&plan).expect("streamed response");
-                    assert_eq!(done.jobs, plan.len());
-                    assert!(!done.memo, "first submission of each plan simulates");
-                    assert_eq!(
-                        results.to_json_string(),
-                        expected,
-                        "streamed results must be bit-identical to in-process execution \
-                         ({backend:?})"
-                    );
-                })
-            });
-        for thread in threads {
-            thread.join().expect("client thread");
-        }
-
-        // Same plan again: the daemon replays its memoized frames.
-        let (results, done) = connect(&addr).execute(&plan_a).expect("memoized response");
-        assert!(done.memo, "repeat submission must hit the memo cache ({backend:?})");
-        assert_eq!(
-            results.to_json_string(),
-            expected_a,
-            "memoized response must be byte-identical ({backend:?})"
-        );
+    let addr = spawn_server(server_config(64 << 20));
+    let threads =
+        [(plan_a.clone(), expected_a.clone()), (plan_b, expected_b)].map(|(plan, expected)| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let (results, done) = connect(&addr).execute(&plan).expect("streamed response");
+                assert_eq!(done.jobs, plan.len());
+                assert!(!done.memo, "first submission of each plan simulates");
+                assert_eq!(
+                    results.to_json_string(),
+                    expected,
+                    "streamed results must be bit-identical to in-process execution"
+                );
+            })
+        });
+    for thread in threads {
+        thread.join().expect("client thread");
     }
+
+    // Same plan again: the daemon replays its memoized frames.
+    let (results, done) = connect(&addr).execute(&plan_a).expect("memoized response");
+    assert!(done.memo, "repeat submission must hit the memo cache");
+    assert_eq!(results.to_json_string(), expected_a, "memoized response must be byte-identical");
 }
 
 /// Zero simulation work on a memo hit: a counting registry builder shows
@@ -448,9 +431,9 @@ fn soak_mixed_cold_memo_and_malformed_clients_stay_bit_identical() {
     }
 }
 
-/// The event backend's defining property: 256 idle connections cost no
-/// additional threads (the threaded baseline would spawn 256). Gated to
-/// Linux for `/proc/self/status`.
+/// The event core's defining property: 256 idle connections cost no
+/// additional threads (a thread-per-connection loop would spawn 256).
+/// Gated to Linux for `/proc/self/status`.
 #[cfg(target_os = "linux")]
 #[test]
 fn event_backend_serves_hundreds_of_connections_on_fixed_threads() {
