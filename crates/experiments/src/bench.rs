@@ -1,6 +1,6 @@
 //! Throughput harness: reference baseline vs the engine's fast paths.
 //!
-//! Not a paper artifact. Seven sections, each runnable alone via
+//! Not a paper artifact. Six sections, each runnable alone via
 //! `--section <name>` (mirroring the ARTIFACTS registry dispatch):
 //!
 //! **single** — the full-suite PAg(12) evaluation (the workhorse
@@ -76,17 +76,6 @@
 //! historical event-vs-threaded record, measured while the daemon still
 //! had a thread-per-connection loop.
 //!
-//! **stream** — chunked streaming replay
-//! ([`tlabp_sim::StreamCursor`]) against the fully hydrated walk, on a
-//! pattern stream tiled to more than 4x the streaming window so the
-//! bounded-memory claim is actually exercised: the stream is persisted
-//! as a many-chunk v3 artifact, replayed once hydrated and once through
-//! the cursor (results asserted bit-identical), and the cursor's peak
-//! resident bytes — tracked by the store's [`tlabp_sim::StreamWindow`]
-//! gauge — are reported next to the window cap they must stay under.
-//! Lands in `results/BENCH_stream.csv`; the streamed-vs-hydrated
-//! throughput ratio and the peak/cap pair fold into `BENCH_sweep.json`.
-//!
 //! Every bench artifact (the CSVs and `BENCH_sweep.json`) records the
 //! measuring host's facts — core count, pool width, requested and
 //! selected kernel body — so a committed number carries the hardware
@@ -100,7 +89,7 @@
 //! reported speedup equals the wall-clock ratio. Results print as
 //! tables; a full (unfiltered) run lands in `results/BENCH_sweep.json`.
 //! Every run ends with the per-form cache-bytes report, warning when the
-//! total exceeds the `TLABP_CACHE_BYTES` soft cap (default 1 GiB).
+//! total exceeds a 1 GiB soft cap.
 //!
 //! Timing iterations default to 3 (best-of); the `TLABP_BENCH_ITERS`
 //! environment variable overrides (CI smoke runs set 1).
@@ -141,29 +130,21 @@ fn bench_iterations() -> u32 {
         .unwrap_or(3)
 }
 
-/// Soft cap for the trace-cache footprint report: `TLABP_CACHE_BYTES`
-/// when it holds a positive integer (bytes), else 1 GiB.
-fn cache_bytes_cap() -> usize {
-    std::env::var("TLABP_CACHE_BYTES")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1 << 30)
-}
+/// Soft cap for the trace-cache footprint report, in bytes.
+const CACHE_BYTES_CAP: usize = 1 << 30;
 
 /// A bench section: runs its measurement and returns the JSON fragment
 /// (a `"name": {...}` member) it contributes to `BENCH_sweep.json`.
 type Section = fn(&Ctx, u32, usize) -> String;
 
 /// The registered bench sections, in run order.
-const SECTIONS: [(&str, Section); 7] = [
+const SECTIONS: [(&str, Section); 6] = [
     ("single", single_section),
     ("multi", multi_section),
     ("replay", replay_section),
     ("cold_start", cold_start_section),
     ("scaling", scaling_section),
     ("service", service_section),
-    ("stream", stream_section),
 ];
 
 /// The measuring host's core count.
@@ -882,180 +863,9 @@ fn service_section(ctx: &Ctx, _iterations: u32, threads: usize) -> String {
     )
 }
 
-/// Events the streaming section replays: 64 replay blocks (2^20), tiled
-/// from a real benchmark stream. At four resident bytes per unlaned
-/// event (eight laned) this is far above the window cap derived below.
-const STREAM_BENCH_EVENTS: usize = 64 << 14;
-
-/// Encoded chunk budget for the streaming section's artifact: small
-/// enough that the section spans dozens of chunks even after the
-/// varint+delta encoding, so the bounded ring actually cycles.
-const STREAM_BENCH_CHUNK_BYTES: usize = 128 << 10;
-
-/// Batch width of the streaming section: the full transposed-word shape
-/// the scaling section uses. A wide batch makes replay compute per
-/// decoded byte realistic — the regime streaming is for — instead of
-/// measuring the decode thread against a nearly-free walk.
-const STREAM_BENCH_MEMBERS: usize = 128;
-
-/// The **stream** section: bounded-memory streaming replay vs the fully
-/// hydrated walk, bit-identity asserted, peak residency reported.
-fn stream_section(ctx: &Ctx, iterations: u32, threads: usize) -> String {
-    use std::sync::Arc;
-    use tlabp_core::any::AnyPredictor;
-    use tlabp_sim::{
-        replay_stream_key, simulate_replay_transposed, simulate_replay_transposed_streamed,
-        StreamCursor, StreamWindow,
-    };
-    use tlabp_trace::io::{write_artifacts_chunked, ChunkedArtifact};
-    use tlabp_trace::PatternStream;
-
-    let mode = SimdMode::from_env();
-    let config = SchemeConfig::pag(12);
-    let key = replay_stream_key(config).expect("PAg(12) replays");
-
-    // Tile the longest benchmark's real first-level stream up to the
-    // section's event budget: real branch patterns, controlled size.
-    // Tiling cannot break stream invariants (`from_raw_parts` recheck),
-    // and both measured modes walk the identical tiled sequence.
-    let benchmark = Benchmark::ALL
-        .iter()
-        .max_by_key(|benchmark| ctx.store().get_packed(benchmark, DataSet::Testing).len())
-        .expect("the benchmark catalog is non-empty");
-    let base = ctx.store().get_pattern_stream(benchmark, DataSet::Testing, key);
-    let reps = STREAM_BENCH_EVENTS.div_ceil(base.len().max(1)).max(1);
-    let stream = PatternStream::from_raw_parts(
-        base.history_bits(),
-        base.events().repeat(reps),
-        base.lanes().repeat(reps),
-        base.is_laned(),
-    )
-    .expect("tiling a valid stream yields a valid stream");
-    let resident_bytes = stream.bytes();
-
-    // Persist the stream as a many-chunk v3 artifact in a throwaway dir.
-    let dir = std::env::temp_dir().join(format!("tlabp-bench-stream-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("bench temp dir");
-    let path = dir.join("stream-bench.tlabp");
-    let key_bytes = key.to_bytes();
-    std::fs::write(
-        &path,
-        write_artifacts_chunked(
-            0,
-            None,
-            None,
-            None,
-            &[(key_bytes.clone(), &stream)],
-            STREAM_BENCH_CHUNK_BYTES,
-        ),
-    )
-    .expect("bench artifact writes");
-
-    // The window cap: a quarter of the hydrated stream, floored at four
-    // of the artifact's largest chunks so the ring always has room for
-    // its minimum occupancy (producer + consumer + depth >= 1).
-    let info = ChunkedArtifact::open(&path)
-        .expect("just-written artifact opens")
-        .find_stream(&key_bytes)
-        .expect("just-written section is present");
-    let per_event = if info.laned { 8 } else { 4 };
-    let chunk_resident = info.chunk_items.iter().copied().max().unwrap_or(0) as usize * per_event;
-    let cap_bytes = (resident_bytes / 4).max(4 * chunk_resident);
-    let over_cap = resident_bytes as f64 / cap_bytes as f64;
-    let chunks = info.chunk_items.len();
-
-    let predictors: Vec<AnyPredictor> = (0..STREAM_BENCH_MEMBERS)
-        .map(|index| {
-            let automaton = Automaton::ALL[index % Automaton::ALL.len()];
-            config.with_automaton(automaton).build_any().expect("untrained PAg builds")
-        })
-        .collect();
-    let reference =
-        simulate_replay_transposed(&predictors, &stream, mode).expect("PAg replays in memory");
-    let predictions = (stream.len() * predictors.len()) as u64;
-
-    let hydrated_secs = best_of(iterations, || {
-        let sims =
-            simulate_replay_transposed(&predictors, &stream, mode).expect("PAg replays in memory");
-        assert_eq!(sims.len(), predictors.len());
-    });
-
-    let window = Arc::new(StreamWindow::new());
-    window.reset_peak();
-    let streamed_secs = best_of(iterations, || {
-        let mut cursor = StreamCursor::open(&path, &key_bytes, cap_bytes, &window)
-            .expect("bench artifact streams");
-        let sims = simulate_replay_transposed_streamed(&predictors, &mut cursor, mode)
-            .expect("PAg replays streamed")
-            .expect("bench artifact is intact");
-        assert_eq!(sims, reference, "streamed replay diverged from the hydrated walk");
-    });
-    let peak_bytes = window.peak();
-    assert!(
-        peak_bytes <= cap_bytes,
-        "streaming window peaked at {peak_bytes} bytes, above the {cap_bytes}-byte cap"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let hydrated_eps = predictions as f64 / hydrated_secs;
-    let streamed_eps = predictions as f64 / streamed_secs;
-    let ratio = hydrated_secs / streamed_secs;
-
-    let mut table = Table::new(vec![
-        "mode".into(),
-        format!("seconds (best of {iterations})"),
-        "predictions/sec".into(),
-        "resident bytes".into(),
-        "vs hydrated".into(),
-    ]);
-    table.push_row(vec![
-        "hydrated".into(),
-        format!("{hydrated_secs:.3}"),
-        format!("{hydrated_eps:.0}"),
-        resident_bytes.to_string(),
-        "1.00".into(),
-    ]);
-    table.push_row(vec![
-        format!("streamed ({chunks} chunks)"),
-        format!("{streamed_secs:.3}"),
-        format!("{streamed_eps:.0}"),
-        format!("{peak_bytes} (cap {cap_bytes})"),
-        format!("{ratio:.2}"),
-    ]);
-    ctx.emit_with_meta(
-        "BENCH_stream",
-        &format!(
-            "Streaming replay: {} tiled events x {} automata, {over_cap:.1}x the window cap, \
-             bit-identical",
-            stream.len(),
-            predictors.len()
-        ),
-        &host_meta(threads),
-        &table,
-    );
-
-    format!(
-        "  \"stream\": {{\n    \
-           \"benchmark\": \"PAg(12) automaton batch on {name} tiled x{reps}, streamed vs hydrated\",\n    \
-           \"events\": {events},\n    \
-           \"chunks\": {chunks},\n    \
-           \"measured_predictions\": {predictions},\n    \
-           \"stream_bytes\": {resident_bytes},\n    \
-           \"window_cap_bytes\": {cap_bytes},\n    \
-           \"window_peak_bytes\": {peak_bytes},\n    \
-           \"stream_over_cap\": {over_cap:.2},\n    \
-           \"hydrated\": {{ \"seconds\": {hydrated_secs:.6}, \"events_per_sec\": {hydrated_eps:.1} }},\n    \
-           \"streamed\": {{ \"seconds\": {streamed_secs:.6}, \"events_per_sec\": {streamed_eps:.1} }},\n    \
-           \"throughput_ratio\": {ratio:.3}\n  }}",
-        name = benchmark.name(),
-        events = stream.len(),
-    )
-}
-
-/// Per-form cache footprint of everything the run materialized, with the
-/// `TLABP_CACHE_BYTES` soft-cap warning. The soft cap covers every row —
-/// hydrated forms, v3 disk artifacts and the live streaming window.
+/// Per-form cache footprint of everything the run materialized, with a
+/// warning when the total (hydrated forms plus v3 disk artifacts) is
+/// above [`CACHE_BYTES_CAP`].
 fn report_cache_bytes(ctx: &Ctx) {
     let bytes = ctx.store().cache_bytes();
     let mib = |n: usize| format!("{:.2}", n as f64 / (1024.0 * 1024.0));
@@ -1064,17 +874,11 @@ fn report_cache_bytes(ctx: &Ctx) {
     table.push_row(vec!["interned".into(), bytes.interned.to_string(), mib(bytes.interned)]);
     table.push_row(vec!["pattern streams".into(), bytes.streams.to_string(), mib(bytes.streams)]);
     table.push_row(vec!["disk artifacts".into(), bytes.disk.to_string(), mib(bytes.disk)]);
-    table.push_row(vec![
-        "streaming window".into(),
-        bytes.stream_window.to_string(),
-        mib(bytes.stream_window),
-    ]);
     table.push_row(vec!["total".into(), bytes.total().to_string(), mib(bytes.total())]);
     ctx.emit("BENCH_cache_bytes", "Trace cache footprint by form", &table);
-    let cap = cache_bytes_cap();
-    if bytes.total() > cap {
+    if bytes.total() > CACHE_BYTES_CAP {
         eprintln!(
-            "warning: trace cache holds {} bytes, above the TLABP_CACHE_BYTES soft cap of {cap}",
+            "warning: trace cache holds {} bytes, above the {CACHE_BYTES_CAP}-byte soft cap",
             bytes.total()
         );
     }

@@ -422,6 +422,35 @@ mod tests {
     }
 
     #[test]
+    fn hydrate_skips_a_memo_whose_section_length_overflows() {
+        use tlabp_core::config::SchemeConfig;
+        use tlabp_sim::plan::Job;
+
+        let dir = std::env::temp_dir().join(format!("tlabp-memo-overflow-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let li = Benchmark::by_name("li").expect("li exists");
+        let plan: Plan = [Job::scheme(SchemeConfig::btfn(), li)].into_iter().collect();
+        let key = plan.to_json_string();
+        let disk = MemoDisk::new(dir.clone(), None);
+        disk.persist(&plan, &key, &["frame".to_owned()]);
+
+        // A memo artifact whose plan-section length (after the 26-byte
+        // header and the kind byte) is within 8 of u64::MAX.
+        let mut bad =
+            std::fs::read(disk.path_for(plan.wire_hash(), plan_workload_fingerprint(&plan)))
+                .expect("persisted artifact");
+        bad[27..35].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
+        std::fs::write(dir.join("bad.tlabm"), &bad).expect("write bad artifact");
+
+        let hydrated = disk.hydrate();
+        assert_eq!(hydrated.len(), 1, "the good artifact hydrates, the bad one is skipped");
+        assert_eq!(hydrated[0].0, key);
+        assert_eq!(*hydrated[0].1, vec!["frame".to_owned()]);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn workload_fingerprint_is_order_insensitive_and_workload_sensitive() {
         use tlabp_core::config::SchemeConfig;
         use tlabp_sim::plan::Job;

@@ -92,10 +92,9 @@ use crate::plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey
 use crate::pool::SweepPool;
 use crate::runner::{
     replay_stream_key, simulate, simulate_fused, simulate_packed, simulate_replay_transposed,
-    simulate_replay_transposed_streamed, switch_count, switch_due, switch_schedule,
-    ContextSwitchConfig, FoldKey, SimConfig, SimResult, StreamKey,
+    switch_count, switch_due, switch_schedule, ContextSwitchConfig, FoldKey, SimConfig, SimResult,
+    StreamKey,
 };
-use crate::stream::stream_bytes_from_env;
 use crate::suite::TraceStore;
 
 /// Everything a job produced when it was measurable.
@@ -1007,19 +1006,6 @@ fn prefetch_lowered(pool: &SweepPool, plan: &Plan, lowered: &[Lowered], store: &
                 let _ = store.get_interned(key.benchmark, key.data_set);
             }
             PreGen::Stream(key, stream) => {
-                // With the streaming tier on, a stream already persisted
-                // in a v3 artifact will be walked chunk-by-chunk from
-                // disk — prefetch then touches only the chunk *index*
-                // (header + section heads), never the bodies, so the
-                // barrier stays cheap and resident bytes stay bounded.
-                // Only a missing section still derives (and persists)
-                // the stream in memory: derivation needs the interned
-                // form regardless.
-                if stream_bytes_from_env().is_some()
-                    && store.stream_on_disk(key.benchmark, key.data_set, stream)
-                {
-                    return;
-                }
                 let _ = store.get_pattern_stream(key.benchmark, key.data_set, stream);
             }
         }
@@ -1250,14 +1236,6 @@ fn run_fused_batch(batch: Vec<(usize, Cell)>, store: &TraceStore) -> Vec<(usize,
 /// phase 1, and shared by every sub-batch of a split) and walk every
 /// member's bit-sliced transposed PHT bank over it in a single SWAR
 /// pass ([`simulate_replay_transposed`]).
-///
-/// When the streaming tier is on (`TLABP_STREAM_BYTES`) and the stream
-/// is already persisted in a v3 artifact, the batch walks it
-/// chunk-by-chunk through a [`StreamCursor`] instead of hydrating it —
-/// bit-identical results with resident bytes bounded by the window. A
-/// cursor that cannot open (cold artifact) or errors mid-stream
-/// (corrupt chunk) falls back to the hydrated path, so streaming is
-/// only ever an optimization, never a correctness dependency.
 fn run_replay_batch(
     batch: Vec<(usize, Cell)>,
     store: &TraceStore,
@@ -1267,11 +1245,9 @@ fn run_replay_batch(
     let trace = batch[0].1.trace;
     let predictors: Vec<AnyPredictor> =
         batch.iter().map(|(_, cell)| cell.build.build_any(store, cell.trace)).collect();
-    let sims = replay_streamed(&predictors, store, trace, simd, rep).unwrap_or_else(|| {
-        let stream = store.get_pattern_stream(trace.benchmark, trace.data_set, rep);
-        simulate_replay_transposed(&predictors, &stream, simd)
-            .expect("replay lowering only selects schemes with a second level")
-    });
+    let stream = store.get_pattern_stream(trace.benchmark, trace.data_set, rep);
+    let sims = simulate_replay_transposed(&predictors, &stream, simd)
+        .expect("replay lowering only selects schemes with a second level");
     batch
         .into_iter()
         .zip(sims)
@@ -1279,32 +1255,6 @@ fn run_replay_batch(
             (index, JobOutcome::Measured(JobMetrics { sim, miss_breakdown: None, fetch: None }))
         })
         .collect()
-}
-
-/// The streaming attempt of [`run_replay_batch`]: `None` means "use the
-/// hydrated path" — the tier is off, the artifact has no such stream
-/// yet, or the walk failed mid-stream (with a warning).
-fn replay_streamed(
-    predictors: &[AnyPredictor],
-    store: &TraceStore,
-    trace: TraceKey,
-    simd: SimdMode,
-    rep: StreamKey,
-) -> Option<Vec<SimResult>> {
-    let stream_bytes = stream_bytes_from_env()?;
-    let mut cursor =
-        store.open_stream_cursor(trace.benchmark, trace.data_set, rep, stream_bytes)?;
-    match simulate_replay_transposed_streamed(predictors, &mut cursor, simd)? {
-        Ok(sims) => Some(sims),
-        Err(err) => {
-            eprintln!(
-                "warning: streaming replay of {}-{:?} failed ({err}); rehydrating",
-                trace.benchmark.name(),
-                trace.data_set
-            );
-            None
-        }
-    }
 }
 
 /// How a job's predictor gets built on the worker.

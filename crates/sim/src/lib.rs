@@ -51,7 +51,6 @@ pub mod plan;
 pub mod pool;
 pub mod report;
 pub mod runner;
-pub mod stream;
 pub mod suite;
 pub mod sweep;
 
@@ -65,12 +64,7 @@ pub use plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey, P
 pub use pool::SweepPool;
 pub use runner::{
     derive_pattern_stream, replay_stream_key, simulate, simulate_fused, simulate_packed,
-    simulate_replay_transposed, simulate_replay_transposed_streamed, switch_schedule, ReplayPht,
-    SimConfig, SimResult, StreamKey,
-};
-pub use stream::{
-    stream_bytes_from_env, StreamChunk, StreamCursor, StreamWindow, DEFAULT_STREAM_BYTES,
-    STREAM_BYTES_ENV,
+    simulate_replay_transposed, switch_schedule, ReplayPht, SimConfig, SimResult, StreamKey,
 };
 pub use suite::{run_suite, CacheBytes, TraceStore, DEFAULT_TRACE_DIR, TRACE_DIR_ENV};
 pub use sweep::{run_sweep, run_sweep_on};

@@ -7,10 +7,7 @@ use tlabp_core::history::HistoryRegister;
 use tlabp_core::pht::{PackedPht, TransposedLanePhtBank, TransposedPhtBank};
 use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::simd::SimdMode;
-use tlabp_trace::io::ReadTraceError;
 use tlabp_trace::{BranchRecord, InternedConds, PackedCond, PatternStream, Trace, TraceEvent};
-
-use crate::stream::StreamCursor;
 
 /// Context-switch simulation parameters (the paper's Section 5.1.4).
 ///
@@ -476,7 +473,7 @@ impl StreamKey {
         }
     }
 
-    /// Encodes the key as the opaque byte tag stored in v2 artifact
+    /// Encodes the key as the opaque byte tag stored in artifact
     /// containers (`tlabp-trace::io` holds stream keys as raw bytes — the
     /// trace crate cannot name simulator types). Layout: a one-byte
     /// variant tag (0 = global, 1 = ideal BHT, 2 = cache BHT) followed by
@@ -750,156 +747,88 @@ pub fn simulate_replay_transposed(
     stream: &PatternStream,
     mode: SimdMode,
 ) -> Option<Vec<SimResult>> {
-    let mut banks = TransposedBanks::build(predictors, stream.history_bits(), stream.is_laned())?;
-    banks.feed(stream.events(), stream.lanes(), mode);
-    Some(banks.results(predictors, stream.len() as u64))
-}
-
-/// The streaming form of [`simulate_replay_transposed`]: walks a
-/// persisted stream chunk-by-chunk through a [`StreamCursor`] instead
-/// of a hydrated [`PatternStream`], so resident bytes stay bounded by
-/// the cursor's window while the cursor's decode thread reads ahead.
-///
-/// Bit-identical to the in-memory form: replay is a left fold over the
-/// event sequence (banks carry their state across feeds and never
-/// interact), so any order-preserving chunking yields the same counts —
-/// and the v3 writer additionally aligns stream chunks to
-/// `REPLAY_BLOCK`, so even the interleaved block walk matches.
-///
-/// Returns `None` (before reading anything) unless every member has a
-/// replayable second level, `Some(Err(..))` if the artifact turns out
-/// corrupt or short mid-stream, and `Some(Ok(results))` otherwise.
-#[must_use]
-pub fn simulate_replay_transposed_streamed(
-    predictors: &[AnyPredictor],
-    cursor: &mut StreamCursor,
-    mode: SimdMode,
-) -> Option<Result<Vec<SimResult>, ReadTraceError>> {
-    let mut banks = TransposedBanks::build(predictors, cursor.history_bits(), cursor.laned())?;
-    let mut fed = 0u64;
-    while let Some(next) = cursor.next_chunk() {
-        match next {
-            Ok(chunk) => {
-                fed += chunk.events().len() as u64;
-                banks.feed(chunk.events(), chunk.lanes(), mode);
+    // Member tables grouped by width, in first-seen order, so the result
+    // assembly is a pure function of the batch.
+    struct WidthGroup {
+        history_bits: u32,
+        indices: Vec<usize>,
+        tables: Vec<PackedPht>,
+    }
+    fn insert(groups: &mut Vec<WidthGroup>, index: usize, table: PackedPht) {
+        let history_bits = table.history_bits();
+        match groups.iter_mut().find(|g| g.history_bits == history_bits) {
+            Some(group) => {
+                group.indices.push(index);
+                group.tables.push(table);
             }
-            Err(error) => return Some(Err(error)),
+            None => {
+                groups.push(WidthGroup { history_bits, indices: vec![index], tables: vec![table] })
+            }
         }
     }
-    if fed != cursor.events() {
-        return Some(Err(ReadTraceError::Truncated { at_event: fed }));
+    let mut singles: Vec<WidthGroup> = Vec::new();
+    let mut laned: Vec<WidthGroup> = Vec::new();
+    for (index, predictor) in predictors.iter().enumerate() {
+        match ReplayPht::for_predictor(predictor)? {
+            ReplayPht::Single(table) => insert(&mut singles, index, table),
+            ReplayPht::PerLane { template } => insert(&mut laned, index, template),
+        }
     }
-    Some(Ok(banks.results(predictors, fed)))
-}
+    debug_assert!(laned.is_empty() || stream.is_laned(), "per-lane replay needs a laned stream");
+    debug_assert!(
+        singles.iter().chain(&laned).all(|g| g.history_bits <= stream.history_bits()),
+        "member wider than stream"
+    );
+    let mut single_banks: Vec<(Vec<usize>, TransposedPhtBank)> = singles
+        .into_iter()
+        .map(|group| (group.indices, TransposedPhtBank::new(&group.tables)))
+        .collect();
+    let mut lane_banks: Vec<(Vec<usize>, TransposedLanePhtBank)> = laned
+        .into_iter()
+        .map(|group| (group.indices, TransposedLanePhtBank::new(&group.tables)))
+        .collect();
 
-/// The width-grouped transposed bank state shared by
-/// [`simulate_replay_transposed`] and
-/// [`simulate_replay_transposed_streamed`]: build once per batch, feed
-/// any order-preserving sequence of event slices, then assemble the
-/// per-member results.
-struct TransposedBanks {
-    single_banks: Vec<(Vec<usize>, TransposedPhtBank)>,
-    lane_banks: Vec<(Vec<usize>, TransposedLanePhtBank)>,
-}
-
-impl TransposedBanks {
-    /// Groups member tables by width, preserving first-seen order so
-    /// the result assembly is a pure function of the batch. `None`
-    /// unless every member has a replayable second level.
-    fn build(predictors: &[AnyPredictor], history_bits: u32, stream_laned: bool) -> Option<Self> {
-        struct WidthGroup {
-            history_bits: u32,
-            indices: Vec<usize>,
-            tables: Vec<PackedPht>,
-        }
-        fn insert(groups: &mut Vec<WidthGroup>, index: usize, table: PackedPht) {
-            let history_bits = table.history_bits();
-            match groups.iter_mut().find(|g| g.history_bits == history_bits) {
-                Some(group) => {
-                    group.indices.push(index);
-                    group.tables.push(table);
-                }
-                None => groups.push(WidthGroup {
-                    history_bits,
-                    indices: vec![index],
-                    tables: vec![table],
-                }),
+    // Every bank walks the same REPLAY_BLOCK-event slice before the walk
+    // moves on, so the slice stays cache-hot across banks.
+    if lane_banks.is_empty() {
+        for block in stream.events().chunks(REPLAY_BLOCK) {
+            for (_, bank) in &mut single_banks {
+                bank.replay(block, mode);
             }
         }
-        let mut singles: Vec<WidthGroup> = Vec::new();
-        let mut laned: Vec<WidthGroup> = Vec::new();
-        for (index, predictor) in predictors.iter().enumerate() {
-            match ReplayPht::for_predictor(predictor)? {
-                ReplayPht::Single(table) => insert(&mut singles, index, table),
-                ReplayPht::PerLane { template } => insert(&mut laned, index, template),
+    } else {
+        let blocks = stream.events().chunks(REPLAY_BLOCK).zip(stream.lanes().chunks(REPLAY_BLOCK));
+        for (events, lanes) in blocks {
+            for (_, bank) in &mut single_banks {
+                bank.replay(events, mode);
             }
-        }
-        debug_assert!(laned.is_empty() || stream_laned, "per-lane replay needs a laned stream");
-        let single_banks = singles
-            .into_iter()
-            .map(|group| {
-                debug_assert!(group.history_bits <= history_bits, "member wider than stream");
-                (group.indices, TransposedPhtBank::new(&group.tables))
-            })
-            .collect();
-        let lane_banks = laned
-            .into_iter()
-            .map(|group| {
-                debug_assert!(group.history_bits <= history_bits, "member wider than stream");
-                (group.indices, TransposedLanePhtBank::new(&group.tables))
-            })
-            .collect();
-        Some(TransposedBanks { single_banks, lane_banks })
-    }
-
-    /// Feeds one contiguous slice of the stream to every bank,
-    /// interleaved in [`REPLAY_BLOCK`]-event sub-blocks so the slice
-    /// stays cache-hot across banks. `lanes` is ignored (and may be
-    /// empty) when no member is per-lane.
-    fn feed(&mut self, events: &[u32], lanes: &[u32], mode: SimdMode) {
-        if self.lane_banks.is_empty() {
-            for block in events.chunks(REPLAY_BLOCK) {
-                for (_, bank) in &mut self.single_banks {
-                    bank.replay(block, mode);
-                }
-            }
-        } else {
-            let blocks = events.chunks(REPLAY_BLOCK).zip(lanes.chunks(REPLAY_BLOCK));
-            for (events, lanes) in blocks {
-                for (_, bank) in &mut self.single_banks {
-                    bank.replay(events, mode);
-                }
-                for (_, bank) in &mut self.lane_banks {
-                    bank.replay(events, lanes, mode);
-                }
+            for (_, bank) in &mut lane_banks {
+                bank.replay(events, lanes, mode);
             }
         }
     }
 
-    /// Collects each member's correct count back into batch order.
-    fn results(self, predictors: &[AnyPredictor], predictions: u64) -> Vec<SimResult> {
-        let mut corrects = vec![0u64; predictors.len()];
-        for (indices, bank) in &self.single_banks {
-            for (member, &index) in indices.iter().enumerate() {
-                corrects[index] = bank.counts()[member];
-            }
+    let mut corrects = vec![0u64; predictors.len()];
+    let counts = single_banks
+        .iter()
+        .map(|(indices, bank)| (indices, bank.counts()))
+        .chain(lane_banks.iter().map(|(indices, bank)| (indices, bank.counts())));
+    for (indices, counts) in counts {
+        for (&index, &count) in indices.iter().zip(counts) {
+            corrects[index] = count;
         }
-        for (indices, bank) in &self.lane_banks {
-            for (member, &index) in indices.iter().enumerate() {
-                corrects[index] = bank.counts()[member];
-            }
-        }
-        predictors
-            .iter()
-            .zip(corrects)
-            .map(|(predictor, correct)| SimResult {
-                scheme: predictor.name(),
-                predictions,
-                correct,
-                context_switches: 0,
-            })
-            .collect()
     }
+    let results = predictors
+        .iter()
+        .zip(corrects)
+        .map(|(predictor, correct)| SimResult {
+            scheme: predictor.name(),
+            predictions: stream.len() as u64,
+            correct,
+            context_switches: 0,
+        })
+        .collect();
+    Some(results)
 }
 
 #[cfg(test)]

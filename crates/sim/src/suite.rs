@@ -11,15 +11,13 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use tlabp_core::config::SchemeConfig;
 use tlabp_trace::io::{
     chunk_bytes_from_env, encode_section, read_artifacts, validate_section, walk_artifact,
-    write_artifact_atomic, ArtifactForm, ChunkedArtifact, FileLock, SectionTag, ARTIFACT_VERSION,
-    ARTIFACT_VERSION_CHUNKED,
+    write_artifact_atomic, ArtifactForm, FileLock, SectionTag, ARTIFACT_VERSION_CHUNKED,
 };
 use tlabp_trace::{InternedConds, PackedCond, PatternStream, Trace};
 use tlabp_workloads::{Benchmark, DataSet};
 
 use crate::metrics::SuiteResult;
 use crate::runner::{derive_pattern_stream, SimConfig, StreamKey};
-use crate::stream::{StreamCursor, StreamWindow};
 use crate::sweep::run_sweep;
 
 /// Environment variable naming the disk cache directory.
@@ -49,7 +47,6 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// additionally persists every slot as a v3 chunked artifact container
 /// (`tlabp_trace::io`): on the first touch of a slot the store tries to
 /// hydrate all four forms from `<dir>/<bench>-<set>-v3-<fingerprint>.tlabp`
-/// (falling back to the v2-named file an older build left behind)
 /// without running the VM; whenever a getter actually generates or
 /// derives something new, the slot is re-written atomically (temp file +
 /// rename), copying the sections already on disk and encoding only the
@@ -57,22 +54,13 @@ pub const DEFAULT_TRACE_DIR: &str = "target/trace-cache";
 /// workload-codegen fingerprint ([`Benchmark::fingerprint`]), so stale
 /// artifacts from an older format or an edited workload generator are
 /// simply never opened. A file that exists but fails its checksum or
-/// decode is ignored with a warning and the slot regenerates — a corrupt
-/// cache can cost time, never correctness.
-///
-/// # Streaming tier
-///
-/// Because v3 artifacts are chunked and seekable, a persisted pattern
-/// stream can also be *streamed* instead of hydrated:
-/// [`TraceStore::open_stream_cursor`] hands the replay kernels one
-/// chunk at a time with resident bytes bounded by a window
-/// (`TLABP_STREAM_BYTES`), accounted through the store's shared
-/// [`StreamWindow`] gauge.
+/// decode, or whose header names another container version, is ignored
+/// with a warning and the slot regenerates: a corrupt cache can cost
+/// time, never correctness.
 #[derive(Debug, Clone, Default)]
 pub struct TraceStore {
     cache: Arc<RwLock<SlotMap>>,
     disk: Option<Arc<DiskTier>>,
-    window: Arc<StreamWindow>,
 }
 
 type SlotMap = HashMap<(&'static str, DataSetKey), Arc<TraceSlot>>;
@@ -124,44 +112,14 @@ impl DiskTier {
         self.dir.join(format!("{name}-{set}-v{ARTIFACT_VERSION_CHUNKED}-{fingerprint:016x}.tlabp"))
     }
 
-    /// The v2-named artifact path an older build would have written for
-    /// the same slot. Hydration falls back to it (the v2 *format* still
-    /// decodes), so upgrading in place costs nothing; persists always
-    /// write the v3 name.
-    fn legacy_path_for(&self, name: &str, data_set: DataSet, fingerprint: u64) -> PathBuf {
-        let set = match data_set {
-            DataSet::Training => "training",
-            DataSet::Testing => "testing",
-        };
-        self.dir.join(format!("{name}-{set}-v{ARTIFACT_VERSION}-{fingerprint:016x}.tlabp"))
-    }
-
-    /// Reads the slot's artifact bytes: the v3-named file, else the
-    /// v2-named fallback. Returns the path actually read for messages.
-    fn read_slot_bytes(
-        &self,
-        name: &str,
-        data_set: DataSet,
-        fingerprint: u64,
-    ) -> Option<(PathBuf, Vec<u8>)> {
-        let path = self.path_for(name, data_set, fingerprint);
-        if let Ok(bytes) = fs::read(&path) {
-            return Some((path, bytes));
-        }
-        let legacy = self.legacy_path_for(name, data_set, fingerprint);
-        fs::read(&legacy).ok().map(|bytes| (legacy, bytes))
-    }
-
     /// Fills whatever forms the slot's artifact file holds. Missing file
     /// is a plain miss; a present-but-unreadable file warns and behaves
     /// as a miss (the next persist overwrites it). Returns `false` only
     /// for that unreadable file.
     fn hydrate(&self, slot: &TraceSlot, benchmark: &Benchmark, data_set: DataSet) -> bool {
         let fingerprint = *slot.fingerprint.get_or_init(|| benchmark.fingerprint(data_set));
-        let Some((path, bytes)) = self.read_slot_bytes(benchmark.name(), data_set, fingerprint)
-        else {
-            return true;
-        };
+        let path = self.path_for(benchmark.name(), data_set, fingerprint);
+        let Ok(bytes) = fs::read(&path) else { return true };
         let bundle = match read_artifacts(&bytes) {
             Ok(bundle) => bundle,
             Err(err) => {
@@ -224,8 +182,6 @@ impl DiskTier {
     /// [`tlabp_trace::io::write_artifacts_chunked`] call over the same
     /// forms, and re-persists of identical content are byte-identical. A
     /// spliced section keeps the chunk budget it was written with.
-    /// Only the v3-named file is read: a v2-named file was already loaded
-    /// into the slot by hydration, which precedes any persist.
     ///
     /// # Concurrent writers
     ///
@@ -384,59 +340,7 @@ impl TraceStore {
     /// write; a missing directory just means every lookup misses).
     #[must_use]
     pub fn with_cache_dir(dir: impl Into<PathBuf>) -> Self {
-        TraceStore {
-            cache: Arc::default(),
-            disk: Some(Arc::new(DiskTier { dir: dir.into() })),
-            window: Arc::default(),
-        }
-    }
-
-    /// The store's shared streaming-window gauge: resident (and peak)
-    /// bytes across every [`StreamCursor`] opened through
-    /// [`TraceStore::open_stream_cursor`].
-    #[must_use]
-    pub fn stream_window(&self) -> &Arc<StreamWindow> {
-        &self.window
-    }
-
-    /// Opens a bounded-memory [`StreamCursor`] over the persisted
-    /// pattern stream for `(benchmark, data_set, key)`, without
-    /// hydrating it.
-    ///
-    /// `None` when the store has no disk tier, the slot's v3 artifact
-    /// is missing or stamped with a different workload fingerprint, or
-    /// it holds no section for `key` — callers fall back to
-    /// [`TraceStore::get_pattern_stream`] plus in-memory replay.
-    #[must_use]
-    pub fn open_stream_cursor(
-        &self,
-        benchmark: &Benchmark,
-        data_set: DataSet,
-        key: StreamKey,
-        stream_bytes: usize,
-    ) -> Option<StreamCursor> {
-        let disk = self.disk.as_ref()?;
-        let slot = self.slot(benchmark.name(), data_set.into());
-        let fingerprint = *slot.fingerprint.get_or_init(|| benchmark.fingerprint(data_set));
-        let path = disk.path_for(benchmark.name(), data_set, fingerprint);
-        let cursor = StreamCursor::open(&path, &key.to_bytes(), stream_bytes, &self.window)?;
-        (cursor.fingerprint() == fingerprint).then_some(cursor)
-    }
-
-    /// Whether the persisted v3 artifact for `(benchmark, data_set)`
-    /// already holds a streamable section for `key`. Reads only the
-    /// artifact's header and section heads (the chunk index), never a
-    /// chunk body — this is the probe the engine's prefetch phase uses
-    /// when streaming replay is on.
-    #[must_use]
-    pub fn stream_on_disk(&self, benchmark: &Benchmark, data_set: DataSet, key: StreamKey) -> bool {
-        let Some(disk) = self.disk.as_ref() else { return false };
-        let slot = self.slot(benchmark.name(), data_set.into());
-        let fingerprint = *slot.fingerprint.get_or_init(|| benchmark.fingerprint(data_set));
-        let path = disk.path_for(benchmark.name(), data_set, fingerprint);
-        ChunkedArtifact::open(&path).is_ok_and(|artifact| {
-            artifact.fingerprint() == fingerprint && artifact.find_stream(&key.to_bytes()).is_some()
-        })
+        TraceStore { cache: Arc::default(), disk: Some(Arc::new(DiskTier { dir: dir.into() })) }
     }
 
     /// The disk cache directory, if the disk tier is enabled.
@@ -632,7 +536,6 @@ impl TraceStore {
         if let Some(disk) = &self.disk {
             bytes.disk = disk.disk_bytes();
         }
-        bytes.stream_window = self.window.current();
         bytes
     }
 
@@ -678,18 +581,13 @@ pub struct CacheBytes {
     /// On-disk artifact containers in the cache directory (0 for
     /// memory-only stores).
     pub disk: usize,
-    /// Bytes currently resident in streaming replay windows (decoded
-    /// chunks in flight between a [`StreamCursor`]'s decode thread and
-    /// the replay kernel); 0 when the streaming tier is off or idle.
-    pub stream_window: usize,
 }
 
 impl CacheBytes {
-    /// Total bytes across all cached forms, in memory and on disk,
-    /// including the resident streaming window.
+    /// Total bytes across all cached forms, in memory and on disk.
     #[must_use]
     pub fn total(self) -> usize {
-        self.packed + self.interned + self.streams + self.disk + self.stream_window
+        self.packed + self.interned + self.streams + self.disk
     }
 }
 

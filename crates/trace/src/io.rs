@@ -20,46 +20,23 @@
 //! tag 255   (trap):                      pc u64, instret u64
 //! ```
 //!
-//! **Version 2** — the artifact container behind the disk tier of the
-//! simulator's trace store: the raw trace *plus* every derived form
-//! (packed conditional stream, pc-interned stream, materialized
-//! first-level pattern streams), so a warm cache hit restores the whole
-//! derivation chain without re-running the VM or any derivation pass:
-//!
-//! ```text
-//! magic       : 4 bytes = b"TLBP"
-//! version     : u16     = 2
-//! fingerprint : u64     workload-codegen fingerprint (caller-defined)
-//! sections    : u32     number of sections
-//! per section:
-//!   kind      : u8      1 trace, 2 packed, 3 interned, 4 pattern stream
-//!   len       : u64     payload byte length
-//!   payload   : len bytes
-//!   checksum  : u64     fx-fold of the payload (see [`checksum`])
-//! ```
-//!
-//! Every section is independently length-prefixed and checksummed;
-//! [`read_artifacts`] rejects truncation at any byte boundary, any
-//! checksum mismatch, trailing bytes, and any payload whose decoded
-//! parts fail the owning container's structural validation
-//! ([`InternedConds::from_raw_parts`],
-//! [`PatternStream::from_raw_parts`]). A reader that cannot prove a file
-//! intact never yields a bundle — the disk tier falls back to
-//! regeneration instead of risking wrong numbers.
-//!
-//! **Version 3** — the *chunked* artifact container
-//! ([`write_artifacts_chunked`]): the same four section kinds, but each
+//! **Version 3** — the artifact container behind the disk tier of the
+//! simulator's trace store ([`write_artifacts_chunked`] /
+//! [`read_artifacts`]): the raw trace *plus* every derived form (packed
+//! conditional stream, pc-interned stream, materialized first-level
+//! pattern streams), so a warm cache hit restores the whole derivation
+//! chain without re-running the VM or any derivation pass. Each
 //! section's items are split into fixed-budget chunks (default ~4 MiB,
 //! [`CHUNK_BYTES_ENV`]) that are varint+delta encoded and independently
-//! checksummed, behind a seekable per-section chunk table:
+//! checksummed, behind a per-section chunk table:
 //!
 //! ```text
 //! magic       : 4 bytes = b"TLBP"
 //! version     : u16     = 3
-//! fingerprint : u64
+//! fingerprint : u64     workload-codegen fingerprint (caller-defined)
 //! sections    : u32
 //! per section:
-//!   kind          : u8
+//!   kind          : u8  1 trace, 2 packed, 3 interned, 4 pattern stream
 //!   meta_len      : u32, meta bytes   (kind-specific section metadata)
 //!   chunk count   : u32
 //!   chunk table   : count x (encoded_len u64, items u64, checksum u64)
@@ -67,13 +44,13 @@
 //!   chunk payloads, concatenated (encoded_len bytes each)
 //! ```
 //!
-//! Because every chunk decodes independently (delta state resets at
-//! chunk boundaries) and the chunk table is read before any payload, a
-//! reader can `seek` straight to chunk *k* of a section — that is what
-//! [`ChunkedArtifact`] does for the simulator's streaming replay tier,
-//! which holds a bounded window of decoded chunks instead of a whole
-//! hydrated section. [`read_artifacts`] accepts v2 and v3 containers;
-//! new files are written as v3 while existing v2 files keep reading.
+//! [`read_artifacts`] rejects truncation at any byte boundary, any
+//! checksum mismatch (see [`checksum`]), trailing bytes, any other
+//! container version, and any payload whose decoded parts fail the
+//! owning container's structural validation
+//! ([`InternedConds::from_raw_parts`], [`PatternStream::from_raw_parts`]).
+//! A reader that cannot prove a file intact never yields a bundle — the
+//! disk tier falls back to regeneration instead of risking wrong numbers.
 //!
 //! Every v3 section is self-contained, so a container is just
 //! [`artifact_header`] followed by sections, each produced by
@@ -119,11 +96,8 @@ use crate::trace::{PackedCond, Trace, TraceEvent};
 pub const MAGIC: &[u8; 4] = b"TLBP";
 /// Version of the bare-trace format ([`write_trace`] / [`read_trace`]).
 pub const VERSION: u16 = 1;
-/// Version of the legacy whole-section artifact container
-/// ([`write_artifacts`]).
-pub const ARTIFACT_VERSION: u16 = 2;
 /// Version of the chunked artifact container
-/// ([`write_artifacts_chunked`] / [`ChunkedArtifact`]).
+/// ([`write_artifacts_chunked`] / [`read_artifacts`]).
 pub const ARTIFACT_VERSION_CHUNKED: u16 = 3;
 
 /// Environment variable naming the chunk byte budget of v3 artifacts.
@@ -135,9 +109,8 @@ pub const DEFAULT_CHUNK_BYTES: usize = 4 << 20;
 pub const MIN_CHUNK_BYTES: usize = 64 << 10;
 
 /// Pattern-stream chunks hold a multiple of this many events (except
-/// the final chunk), matching the replay kernels' block size so a
-/// streamed walk re-chunks into exactly the block sequence the
-/// in-memory walk produces.
+/// the final chunk), the replay walk's block size. Part of the v3
+/// layout: changing it changes the bytes of every artifact.
 pub const STREAM_CHUNK_ALIGN: usize = 1 << 14;
 
 /// The chunk byte budget: [`CHUNK_BYTES_ENV`] when it holds an integer
@@ -170,7 +143,7 @@ pub fn chunk_bytes_from_env() -> usize {
 
 const TRAP_TAG: u8 = 255;
 
-/// Section kind tags of the v2 artifact container.
+/// Section kind tags of the artifact container.
 mod section {
     pub const TRACE: u8 = 1;
     pub const PACKED: u8 = 2;
@@ -225,11 +198,6 @@ pub enum ReadTraceError {
         /// Number of unexpected trailing bytes.
         count: usize,
     },
-    /// An I/O error while reading a seekable chunked artifact.
-    Io {
-        /// The failing operation's [`std::io::ErrorKind`].
-        kind: std::io::ErrorKind,
-    },
 }
 
 impl fmt::Display for ReadTraceError {
@@ -242,7 +210,7 @@ impl fmt::Display for ReadTraceError {
                 write!(
                     f,
                     "unsupported trace version {found} (bare trace is {VERSION}, \
-                     artifact container is {ARTIFACT_VERSION})"
+                     artifact container is {ARTIFACT_VERSION_CHUNKED})"
                 )
             }
             ReadTraceError::Truncated { at_event } => {
@@ -262,9 +230,6 @@ impl fmt::Display for ReadTraceError {
             }
             ReadTraceError::TrailingBytes { count } => {
                 write!(f, "{count} unexpected byte(s) after the last artifact section")
-            }
-            ReadTraceError::Io { kind } => {
-                write!(f, "i/o error while reading chunked artifact: {kind}")
             }
         }
     }
@@ -289,7 +254,7 @@ pub fn write_trace(trace: &Trace) -> Vec<u8> {
     buf
 }
 
-/// Appends one event in the shared v1/v2 event encoding.
+/// Appends one event in the v1 event encoding.
 fn encode_event(buf: &mut Vec<u8>, event: &TraceEvent) {
     match *event {
         TraceEvent::Branch(b) => {
@@ -332,10 +297,12 @@ pub fn read_trace(bytes: &[u8]) -> Result<Trace, ReadTraceError> {
     decode_events(&mut cur, count, total)
 }
 
-/// Decodes `count` events in the shared v1/v2 encoding, enforcing
+/// Decodes `count` events in the v1 encoding, enforcing
 /// monotonic `instret` ordering, and applies the declared total.
 fn decode_events(cur: &mut Cursor<'_>, count: u64, total: u64) -> Result<Trace, ReadTraceError> {
-    let capacity = usize::try_from(count).unwrap_or(usize::MAX).min(1 << 24);
+    // Every encoded event takes at least 17 bytes (a trap), so the bytes
+    // left bound the count worth reserving for, whatever `count` claims.
+    let capacity = usize::try_from(count).unwrap_or(usize::MAX).min(cur.remaining() / 17);
     let mut trace = Trace::with_capacity(capacity);
     let mut last_instret = 0u64;
     for i in 0..count {
@@ -408,7 +375,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     fold(hash, bytes.len() as u64)
 }
 
-/// The decoded contents of a v2 artifact container: whichever forms the
+/// The decoded contents of a v3 artifact container: whichever forms the
 /// writer had materialized, plus the pattern streams keyed by the
 /// caller's opaque stream-key encoding (the trace crate does not know
 /// the simulator's first-level signatures — it stores the bytes
@@ -430,78 +397,7 @@ pub struct ArtifactBundle {
     pub streams: Vec<(Vec<u8>, PatternStream)>,
 }
 
-/// Serializes an artifact container: every form the caller hands in, in
-/// a fixed section order (trace, packed, interned, streams), each
-/// length-prefixed and checksummed.
-///
-/// The inverse of [`read_artifacts`]; the two round-trip exactly.
-#[must_use]
-pub fn write_artifacts(
-    fingerprint: u64,
-    trace: Option<&Trace>,
-    packed: Option<&[PackedCond]>,
-    interned: Option<&InternedConds>,
-    streams: &[(Vec<u8>, &PatternStream)],
-) -> Vec<u8> {
-    let sections = usize::from(trace.is_some())
-        + usize::from(packed.is_some())
-        + usize::from(interned.is_some())
-        + streams.len();
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&fingerprint.to_le_bytes());
-    buf.extend_from_slice(&u32::try_from(sections).expect("section count fits u32").to_le_bytes());
-
-    if let Some(trace) = trace {
-        let mut payload = Vec::with_capacity(16 + trace.len() * 26);
-        payload.extend_from_slice(&(trace.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&trace.total_instructions().to_le_bytes());
-        for event in trace.events() {
-            encode_event(&mut payload, event);
-        }
-        push_section(&mut buf, section::TRACE, &payload);
-    }
-    if let Some(packed) = packed {
-        let mut payload = Vec::with_capacity(8 + packed.len() * 8);
-        payload.extend_from_slice(&(packed.len() as u64).to_le_bytes());
-        for cond in packed {
-            payload.extend_from_slice(&cond.bits().to_le_bytes());
-        }
-        push_section(&mut buf, section::PACKED, &payload);
-    }
-    if let Some(interned) = interned {
-        let mut payload = Vec::with_capacity(16 + interned.len() * 4 + interned.pcs().len() * 8);
-        payload.extend_from_slice(&(interned.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&(interned.pcs().len() as u64).to_le_bytes());
-        for event in interned.events() {
-            payload.extend_from_slice(&event.bits().to_le_bytes());
-        }
-        for pc in interned.pcs() {
-            payload.extend_from_slice(&pc.to_le_bytes());
-        }
-        push_section(&mut buf, section::INTERNED, &payload);
-    }
-    for (key, stream) in streams {
-        let lanes = stream.lanes();
-        let mut payload =
-            Vec::with_capacity(2 + key.len() + 13 + stream.len() * 4 + lanes.len() * 4);
-        payload.extend_from_slice(&u16::try_from(key.len()).expect("key fits u16").to_le_bytes());
-        payload.extend_from_slice(key);
-        payload.extend_from_slice(&stream.history_bits().to_le_bytes());
-        payload.push(u8::from(stream.is_laned()));
-        payload.extend_from_slice(&(stream.len() as u64).to_le_bytes());
-        for &event in stream.events() {
-            payload.extend_from_slice(&event.to_le_bytes());
-        }
-        for &lane in lanes {
-            payload.extend_from_slice(&lane.to_le_bytes());
-        }
-        push_section(&mut buf, section::STREAM, &payload);
-    }
-    buf
-}
-
+/// Appends one memo section: kind, payload length, payload, checksum.
 fn push_section(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     buf.push(kind);
     buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -509,16 +405,16 @@ fn push_section(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     buf.extend_from_slice(&checksum(payload).to_le_bytes());
 }
 
-/// Deserializes an artifact container — the legacy whole-section v2
-/// format ([`write_artifacts`]) or the chunked v3 format
-/// ([`write_artifacts_chunked`]), dispatched on the header version.
+/// Deserializes a v3 artifact container ([`write_artifacts_chunked`]),
+/// verifying every head and chunk checksum and every structural
+/// invariant.
 ///
 /// # Errors
 ///
 /// Returns a [`ReadTraceError`] if the magic or version do not match,
 /// the buffer is truncated at any byte boundary, bytes trail the last
-/// section, any section or chunk checksum mismatches, or any payload
-/// fails the structural validation of its form. An `Err` means the file
+/// section, any head or chunk checksum mismatches, or any payload fails
+/// the structural validation of its form. An `Err` means the file
 /// proves nothing — callers fall back to regeneration.
 pub fn read_artifacts(bytes: &[u8]) -> Result<ArtifactBundle, ReadTraceError> {
     expect_magic(bytes, MAGIC)?;
@@ -527,10 +423,7 @@ pub fn read_artifacts(bytes: &[u8]) -> Result<ArtifactBundle, ReadTraceError> {
         return Err(ReadTraceError::Truncated { at_event: 0 });
     }
     let version = cur.get_u16_le();
-    if version == ARTIFACT_VERSION_CHUNKED {
-        return read_artifacts_chunked(&mut cur);
-    }
-    if version != ARTIFACT_VERSION {
+    if version != ARTIFACT_VERSION_CHUNKED {
         return Err(ReadTraceError::UnsupportedVersion { found: version });
     }
     if cur.remaining() < 12 {
@@ -539,112 +432,12 @@ pub fn read_artifacts(bytes: &[u8]) -> Result<ArtifactBundle, ReadTraceError> {
     let mut bundle = ArtifactBundle { fingerprint: cur.get_u64_le(), ..ArtifactBundle::default() };
     let sections = cur.get_u32_le();
     for _ in 0..sections {
-        if cur.remaining() < 9 {
-            return Err(ReadTraceError::Truncated { at_event: 0 });
-        }
-        let kind = cur.get_u8();
-        let len = cur.get_u64_le();
-        let Ok(len) = usize::try_from(len) else {
-            return Err(ReadTraceError::Truncated { at_event: 0 });
-        };
-        if cur.remaining() < len + 8 {
-            return Err(ReadTraceError::Truncated { at_event: 0 });
-        }
-        let payload = &bytes[cur.pos..cur.pos + len];
-        cur.pos += len;
-        let stored = cur.get_u64_le();
-        if checksum(payload) != stored {
-            return Err(ReadTraceError::SectionChecksum { kind });
-        }
-        decode_section(&mut bundle, kind, payload)?;
+        decode_chunked_section(&mut cur, &mut bundle)?;
     }
     if cur.remaining() > 0 {
         return Err(ReadTraceError::TrailingBytes { count: cur.remaining() });
     }
     Ok(bundle)
-}
-
-/// Decodes one checksum-verified section payload into the bundle.
-fn decode_section(
-    bundle: &mut ArtifactBundle,
-    kind: u8,
-    payload: &[u8],
-) -> Result<(), ReadTraceError> {
-    let bad = ReadTraceError::BadSection { kind };
-    let mut cur = Cursor { bytes: payload, pos: 0 };
-    match kind {
-        section::TRACE => {
-            if cur.remaining() < 16 {
-                return Err(bad);
-            }
-            let count = cur.get_u64_le();
-            let total = cur.get_u64_le();
-            let trace = decode_events(&mut cur, count, total)
-                .map_err(|_| ReadTraceError::BadSection { kind })?;
-            if cur.remaining() != 0 {
-                return Err(bad);
-            }
-            bundle.trace = Some(trace);
-        }
-        section::PACKED => {
-            if cur.remaining() < 8 {
-                return Err(bad);
-            }
-            let count = cur.get_u64_le();
-            if cur.remaining() as u64 != count.saturating_mul(8) {
-                return Err(bad);
-            }
-            let packed =
-                (0..count).map(|_| PackedCond::from_bits(cur.get_u64_le())).collect::<Vec<_>>();
-            bundle.packed = Some(packed);
-        }
-        section::INTERNED => {
-            if cur.remaining() < 16 {
-                return Err(bad);
-            }
-            let events = cur.get_u64_le();
-            let pcs = cur.get_u64_le();
-            if cur.remaining() as u64 != events.saturating_mul(4) + pcs.saturating_mul(8) {
-                return Err(bad);
-            }
-            let events: Vec<InternedCond> =
-                (0..events).map(|_| InternedCond::from_bits(cur.get_u32_le())).collect();
-            let pcs: Vec<u64> = (0..pcs).map(|_| cur.get_u64_le()).collect();
-            bundle.interned = Some(InternedConds::from_raw_parts(events, pcs).ok_or(bad)?);
-        }
-        section::STREAM => {
-            if cur.remaining() < 2 {
-                return Err(bad);
-            }
-            let key_len = usize::from(cur.get_u16_le());
-            if cur.remaining() < key_len {
-                return Err(bad);
-            }
-            let key = payload[cur.pos..cur.pos + key_len].to_vec();
-            cur.pos += key_len;
-            if cur.remaining() < 13 {
-                return Err(bad);
-            }
-            let history_bits = cur.get_u32_le();
-            let laned = match cur.get_u8() {
-                0 => false,
-                1 => true,
-                _ => return Err(bad),
-            };
-            let count = cur.get_u64_le();
-            let lanes_len = if laned { count } else { 0 };
-            if cur.remaining() as u64 != (count + lanes_len).saturating_mul(4) {
-                return Err(bad);
-            }
-            let events: Vec<u32> = (0..count).map(|_| cur.get_u32_le()).collect();
-            let lanes: Vec<u32> = (0..lanes_len).map(|_| cur.get_u32_le()).collect();
-            let stream =
-                PatternStream::from_raw_parts(history_bits, events, lanes, laned).ok_or(bad)?;
-            bundle.streams.push((key, stream));
-        }
-        _ => return Err(bad),
-    }
-    Ok(())
 }
 
 /// A minimal little-endian read cursor over a byte slice (replaces the
@@ -733,10 +526,8 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 }
 
 /// Items per chunk for a section kind under `chunk_bytes`, computed from
-/// the *unencoded* item width so the budget bounds decoded (resident)
-/// bytes, which is what the streaming tier's window cap is about.
-/// Pattern-stream chunks round down to a [`STREAM_CHUNK_ALIGN`] multiple
-/// so streamed replay walks the same block sequence as in-memory replay.
+/// the *unencoded* item width so the budget bounds decoded bytes.
+/// Pattern-stream chunks round down to a [`STREAM_CHUNK_ALIGN`] multiple.
 fn items_per_chunk(kind: u8, laned: bool, chunk_bytes: usize) -> usize {
     match kind {
         section::TRACE => (chunk_bytes / 26).max(1),
@@ -1147,13 +938,13 @@ fn push_form_section(buf: &mut Vec<u8>, form: ArtifactForm<'_>, chunk_bytes: usi
     }
 }
 
-/// Serializes a v3 chunked artifact container: the same forms as
-/// [`write_artifacts`], with each section split into `chunk_bytes`-budget
-/// varint+delta chunks behind a seekable, checksummed chunk table.
+/// Serializes a v3 chunked artifact container: every form the caller
+/// hands in, in a fixed section order (trace, packed, interned,
+/// streams), each split into `chunk_bytes`-budget varint+delta chunks
+/// behind a checksummed chunk table.
 ///
-/// The inverse of [`read_artifacts`] (which dispatches on the header
-/// version); [`ChunkedArtifact`] reads the same bytes seekably. Equal to
-/// [`artifact_header`] followed by one [`encode_section`] per form.
+/// The inverse of [`read_artifacts`]; the two round-trip exactly. Equal
+/// to [`artifact_header`] followed by one [`encode_section`] per form.
 #[must_use]
 pub fn write_artifacts_chunked(
     fingerprint: u64,
@@ -1233,24 +1024,6 @@ fn take_chunk<'a>(
         return Err(ReadTraceError::SectionChecksum { kind });
     }
     Ok(payload)
-}
-
-/// Decodes the body of a v3 container (cursor positioned after magic +
-/// version) into a whole [`ArtifactBundle`], verifying every head and
-/// chunk checksum and every structural invariant.
-fn read_artifacts_chunked(cur: &mut Cursor<'_>) -> Result<ArtifactBundle, ReadTraceError> {
-    if cur.remaining() < 12 {
-        return Err(ReadTraceError::Truncated { at_event: 0 });
-    }
-    let mut bundle = ArtifactBundle { fingerprint: cur.get_u64_le(), ..ArtifactBundle::default() };
-    let sections = cur.get_u32_le();
-    for _ in 0..sections {
-        decode_chunked_section(cur, &mut bundle)?;
-    }
-    if cur.remaining() > 0 {
-        return Err(ReadTraceError::TrailingBytes { count: cur.remaining() });
-    }
-    Ok(bundle)
 }
 
 /// Decodes the one v3 section at the cursor into `bundle`.
@@ -1457,197 +1230,6 @@ impl SectionDecoder {
     }
 }
 
-fn map_io(err: &std::io::Error) -> ReadTraceError {
-    match err.kind() {
-        std::io::ErrorKind::UnexpectedEof => ReadTraceError::Truncated { at_event: 0 },
-        kind => ReadTraceError::Io { kind },
-    }
-}
-
-fn read_exact_buf(file: &mut std::fs::File, len: usize) -> Result<Vec<u8>, ReadTraceError> {
-    use std::io::Read;
-    let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf).map_err(|e| map_io(&e))?;
-    Ok(buf)
-}
-
-/// Location of one chunk's payload inside a seekable v3 artifact.
-#[derive(Debug, Clone, Copy)]
-struct ChunkEntry {
-    offset: u64,
-    encoded: u64,
-    items: u64,
-    checksum: u64,
-}
-
-/// One section's head (kind, metadata, chunk table) inside a seekable
-/// v3 artifact.
-#[derive(Debug, Clone)]
-struct SectionEntry {
-    kind: u8,
-    meta: Vec<u8>,
-    chunks: Vec<ChunkEntry>,
-}
-
-/// Identity and shape of one pattern-stream section inside a
-/// [`ChunkedArtifact`], as reported by
-/// [`ChunkedArtifact::stream_sections`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamSectionInfo {
-    /// Section index to pass to [`ChunkedArtifact::read_stream_chunk`].
-    pub section: usize,
-    /// The opaque stream key bytes the section was persisted under.
-    pub key: Vec<u8>,
-    /// First-level history width the stream was derived at.
-    pub history_bits: u32,
-    /// Whether the stream carries per-address lane indices.
-    pub laned: bool,
-    /// Total number of events across all chunks.
-    pub events: u64,
-    /// Declared item count of each chunk, in file order.
-    pub chunk_items: Vec<u64>,
-}
-
-/// A v3 artifact opened for seekable, chunk-at-a-time reads.
-///
-/// [`ChunkedArtifact::open`] reads and verifies only the header and the
-/// per-section heads (metadata + chunk tables); chunk payloads stay on
-/// disk until fetched with [`ChunkedArtifact::read_stream_chunk`], each
-/// fetch verifying that chunk's stored checksum. This is the I/O layer
-/// behind the simulator's bounded-memory streaming replay tier.
-#[derive(Debug)]
-pub struct ChunkedArtifact {
-    file: std::fs::File,
-    fingerprint: u64,
-    sections: Vec<SectionEntry>,
-}
-
-impl ChunkedArtifact {
-    /// Opens `path` and parses + verifies its header and section heads
-    /// without reading any chunk payloads.
-    pub fn open(path: &std::path::Path) -> Result<ChunkedArtifact, ReadTraceError> {
-        use std::io::{Seek, SeekFrom};
-        let mut file = std::fs::File::open(path).map_err(|e| map_io(&e))?;
-        let header = read_exact_buf(&mut file, 18)?;
-        let found: [u8; 4] = header[..4].try_into().expect("4 bytes");
-        if &found != MAGIC {
-            return Err(ReadTraceError::BadMagic { found });
-        }
-        let mut cur = Cursor { bytes: &header, pos: 4 };
-        let version = cur.get_u16_le();
-        if version != ARTIFACT_VERSION_CHUNKED {
-            return Err(ReadTraceError::UnsupportedVersion { found: version });
-        }
-        let fingerprint = cur.get_u64_le();
-        let nsections = cur.get_u32_le() as usize;
-        let truncated = ReadTraceError::Truncated { at_event: 0 };
-        let mut sections = Vec::new();
-        for _ in 0..nsections {
-            let fixed = read_exact_buf(&mut file, 5)?;
-            let kind = fixed[0];
-            let meta_len = u32::from_le_bytes(fixed[1..5].try_into().expect("4 bytes")) as usize;
-            let meta = read_exact_buf(&mut file, meta_len)?;
-            let count_bytes = read_exact_buf(&mut file, 4)?;
-            let nchunks = u32::from_le_bytes(count_bytes[..].try_into().expect("4 bytes")) as usize;
-            let table_len = nchunks.checked_mul(24).ok_or_else(|| truncated.clone())?;
-            let table = read_exact_buf(&mut file, table_len)?;
-            let stored =
-                u64::from_le_bytes(read_exact_buf(&mut file, 8)?[..].try_into().expect("8 bytes"));
-            let mut head = Vec::with_capacity(9 + meta.len() + table.len());
-            head.extend_from_slice(&fixed);
-            head.extend_from_slice(&meta);
-            head.extend_from_slice(&count_bytes);
-            head.extend_from_slice(&table);
-            if checksum(&head) != stored {
-                return Err(ReadTraceError::SectionChecksum { kind });
-            }
-            let mut offset = file.stream_position().map_err(|e| map_io(&e))?;
-            let mut tcur = Cursor { bytes: &table, pos: 0 };
-            let mut chunks = Vec::with_capacity(nchunks);
-            for _ in 0..nchunks {
-                let (encoded, items, sum) =
-                    (tcur.get_u64_le(), tcur.get_u64_le(), tcur.get_u64_le());
-                chunks.push(ChunkEntry { offset, encoded, items, checksum: sum });
-                offset = offset.checked_add(encoded).ok_or_else(|| truncated.clone())?;
-            }
-            file.seek(SeekFrom::Start(offset)).map_err(|e| map_io(&e))?;
-            sections.push(SectionEntry { kind, meta, chunks });
-        }
-        let end = file.stream_position().map_err(|e| map_io(&e))?;
-        let len = file.metadata().map_err(|e| map_io(&e))?.len();
-        if end < len {
-            return Err(ReadTraceError::TrailingBytes { count: (len - end) as usize });
-        }
-        if end > len {
-            return Err(truncated);
-        }
-        Ok(ChunkedArtifact { file, fingerprint, sections })
-    }
-
-    /// Workload fingerprint stamped into the artifact header.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Every pattern-stream section in the artifact, in file order.
-    #[must_use]
-    pub fn stream_sections(&self) -> Vec<StreamSectionInfo> {
-        self.sections
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.kind == section::STREAM)
-            .filter_map(|(section, s)| {
-                meta::parse_stream(&s.meta).map(|(key, history_bits, laned, events)| {
-                    StreamSectionInfo {
-                        section,
-                        key,
-                        history_bits,
-                        laned,
-                        events,
-                        chunk_items: s.chunks.iter().map(|c| c.items).collect(),
-                    }
-                })
-            })
-            .collect()
-    }
-
-    /// Looks up the pattern-stream section persisted under `key`.
-    #[must_use]
-    pub fn find_stream(&self, key: &[u8]) -> Option<StreamSectionInfo> {
-        self.stream_sections().into_iter().find(|info| info.key == key)
-    }
-
-    /// Reads, checksum-verifies and decodes one chunk of a
-    /// pattern-stream section: `(events, lanes)`, with `lanes` empty
-    /// for unlaned streams.
-    pub fn read_stream_chunk(
-        &mut self,
-        section: usize,
-        chunk: usize,
-    ) -> Result<(Vec<u32>, Vec<u32>), ReadTraceError> {
-        use std::io::{Read, Seek, SeekFrom};
-        let bad = ReadTraceError::BadSection { kind: section::STREAM };
-        let entry = self.sections.get(section).ok_or(bad.clone())?;
-        if entry.kind != section::STREAM {
-            return Err(ReadTraceError::BadSection { kind: entry.kind });
-        }
-        let (_, _, laned, _) = meta::parse_stream(&entry.meta).ok_or(bad.clone())?;
-        let c = *entry.chunks.get(chunk).ok_or(bad.clone())?;
-        self.file.seek(SeekFrom::Start(c.offset)).map_err(|e| map_io(&e))?;
-        let encoded = usize::try_from(c.encoded).map_err(|_| bad.clone())?;
-        let mut payload = vec![0u8; encoded];
-        self.file.read_exact(&mut payload).map_err(|e| map_io(&e))?;
-        if checksum(&payload) != c.checksum {
-            return Err(ReadTraceError::SectionChecksum { kind: section::STREAM });
-        }
-        let mut events = Vec::with_capacity(usize::try_from(c.items).map_err(|_| bad.clone())?);
-        let mut lanes = Vec::new();
-        decode_stream_chunk(&payload, c.items, laned, &mut events, &mut lanes).ok_or(bad)?;
-        Ok((events, lanes))
-    }
-}
-
 /// File magic identifying a memo artifact ([`write_memo`] /
 /// [`read_memo`]): one memoized sweep-service response.
 pub const MEMO_MAGIC: &[u8; 4] = b"TLBM";
@@ -1757,11 +1339,8 @@ pub fn read_memo(bytes: &[u8]) -> Result<MemoArtifact, ReadTraceError> {
             return Err(ReadTraceError::Truncated { at_event: 0 });
         }
         let kind = cur.get_u8();
-        let len = cur.get_u64_le();
-        let Ok(len) = usize::try_from(len) else {
-            return Err(ReadTraceError::Truncated { at_event: 0 });
-        };
-        if cur.remaining() < len + 8 {
+        let len = usize::try_from(cur.get_u64_le()).unwrap_or(usize::MAX);
+        if cur.remaining() < len.saturating_add(8) {
             return Err(ReadTraceError::Truncated { at_event: 0 });
         }
         let payload = &bytes[cur.pos..cur.pos + len];
@@ -1979,138 +1558,7 @@ mod tests {
         (trace, packed, interned, vec![(vec![0, 9, 0, 0, 0], unlaned), (b"laned".to_vec(), laned)])
     }
 
-    fn write_sample(fingerprint: u64) -> Vec<u8> {
-        let (trace, packed, interned, streams) = sample_bundle();
-        let refs: Vec<(Vec<u8>, &PatternStream)> =
-            streams.iter().map(|(k, s)| (k.clone(), s)).collect();
-        write_artifacts(fingerprint, Some(&trace), Some(&packed), Some(&interned), &refs)
-    }
-
-    #[test]
-    fn artifacts_round_trip_every_section() {
-        let (trace, packed, interned, streams) = sample_bundle();
-        let refs: Vec<(Vec<u8>, &PatternStream)> =
-            streams.iter().map(|(k, s)| (k.clone(), s)).collect();
-        let bytes = write_artifacts(0xfeed, Some(&trace), Some(&packed), Some(&interned), &refs);
-        let bundle = read_artifacts(&bytes).unwrap();
-        assert_eq!(bundle.fingerprint, 0xfeed);
-        assert_eq!(bundle.trace.as_ref(), Some(&trace));
-        assert_eq!(bundle.packed.as_deref(), Some(packed.as_slice()));
-        assert_eq!(bundle.interned.as_ref(), Some(&interned));
-        assert_eq!(bundle.streams, streams);
-    }
-
-    #[test]
-    fn artifacts_round_trip_each_section_alone() {
-        let (trace, packed, interned, streams) = sample_bundle();
-        let bundle = read_artifacts(&write_artifacts(1, Some(&trace), None, None, &[])).unwrap();
-        assert_eq!(bundle.trace, Some(trace));
-        assert_eq!(bundle.packed, None);
-        let bundle = read_artifacts(&write_artifacts(2, None, Some(&packed), None, &[])).unwrap();
-        assert_eq!(bundle.packed.as_deref(), Some(packed.as_slice()));
-        let bundle = read_artifacts(&write_artifacts(3, None, None, Some(&interned), &[])).unwrap();
-        assert_eq!(bundle.interned, Some(interned));
-        let refs: Vec<(Vec<u8>, &PatternStream)> =
-            streams.iter().map(|(k, s)| (k.clone(), s)).collect();
-        let bundle = read_artifacts(&write_artifacts(4, None, None, None, &refs)).unwrap();
-        assert_eq!(bundle.streams, streams);
-        let empty = read_artifacts(&write_artifacts(5, None, None, None, &[])).unwrap();
-        assert_eq!(empty, ArtifactBundle { fingerprint: 5, ..ArtifactBundle::default() });
-    }
-
-    #[test]
-    fn artifacts_reject_truncation_at_every_byte_boundary() {
-        let bytes = write_sample(0xabcd);
-        for cut in 0..bytes.len() {
-            assert!(
-                read_artifacts(&bytes[..cut]).is_err(),
-                "prefix of {cut}/{} bytes must not decode",
-                bytes.len()
-            );
-        }
-        assert!(read_artifacts(&bytes).is_ok());
-    }
-
-    #[test]
-    fn artifacts_detect_any_single_bit_flip_in_payloads() {
-        let bytes = write_sample(0x1234);
-        // Flip one bit in every byte past the fixed header; the magic,
-        // version, fingerprint and section-count bytes are covered by the
-        // dedicated header tests (a fingerprint flip legitimately decodes —
-        // staleness is the store's comparison, not the container's).
-        for pos in 18..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 1 << (pos % 8);
-            assert!(
-                read_artifacts(&corrupt).is_err(),
-                "bit flip at byte {pos} must not decode cleanly"
-            );
-        }
-    }
-
-    #[test]
-    fn artifacts_reject_checksum_flip_with_checksum_error() {
-        let bytes = write_sample(7);
-        // The first section's checksum occupies the 8 bytes before the
-        // second section's kind tag; flipping the final byte of the file
-        // hits the *last* section's checksum, which is easiest to address.
-        let mut corrupt = bytes.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0x80;
-        assert!(matches!(
-            read_artifacts(&corrupt).unwrap_err(),
-            ReadTraceError::SectionChecksum { kind: section::STREAM }
-        ));
-    }
-
-    #[test]
-    fn artifacts_reject_trailing_bytes() {
-        let mut bytes = write_sample(7);
-        bytes.push(0);
-        assert!(matches!(
-            read_artifacts(&bytes).unwrap_err(),
-            ReadTraceError::TrailingBytes { count: 1 }
-        ));
-    }
-
-    #[test]
-    fn artifacts_reject_v1_files_with_versioned_error() {
-        let bytes = write_trace(&sample_trace());
-        assert_eq!(
-            read_artifacts(&bytes).unwrap_err(),
-            ReadTraceError::UnsupportedVersion { found: VERSION }
-        );
-        // And the bare-trace reader symmetrically rejects v2 containers.
-        let v2 = write_sample(1);
-        assert_eq!(
-            read_trace(&v2).unwrap_err(),
-            ReadTraceError::UnsupportedVersion { found: ARTIFACT_VERSION }
-        );
-    }
-
-    #[test]
-    fn artifacts_reject_bad_section_structure() {
-        let (_, _, interned, _) = sample_bundle();
-        let bytes = write_artifacts(9, None, None, Some(&interned), &[]);
-        // Rewrite the first interned event's id to point past the pc
-        // table, then re-stamp the section checksum so only structural
-        // validation can catch it. Payload starts at header(18) + kind(1)
-        // + len(8); events follow two u64 counts.
-        let payload_start = 18 + 1 + 8;
-        let mut corrupt = bytes.clone();
-        let huge = (u32::MAX).to_le_bytes();
-        corrupt[payload_start + 16..payload_start + 20].copy_from_slice(&huge);
-        let payload_len = bytes.len() - payload_start - 8;
-        let sum = checksum(&corrupt[payload_start..payload_start + payload_len]);
-        let checksum_at = payload_start + payload_len;
-        corrupt[checksum_at..checksum_at + 8].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            read_artifacts(&corrupt).unwrap_err(),
-            ReadTraceError::BadSection { kind: section::INTERNED }
-        );
-    }
-
-    fn write_sample_chunked(fingerprint: u64, chunk_bytes: usize) -> Vec<u8> {
+    fn write_sample(fingerprint: u64, chunk_bytes: usize) -> Vec<u8> {
         let (trace, packed, interned, streams) = sample_bundle();
         let refs: Vec<(Vec<u8>, &PatternStream)> =
             streams.iter().map(|(k, s)| (k.clone(), s)).collect();
@@ -2125,10 +1573,45 @@ mod tests {
     }
 
     #[test]
+    fn artifacts_reject_checksum_flip_with_checksum_error() {
+        // The file ends with the last stream section's final chunk
+        // payload, so flipping its last byte fails that chunk's checksum.
+        let mut corrupt = write_sample(7, 64);
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0x80;
+        assert!(matches!(
+            read_artifacts(&corrupt).unwrap_err(),
+            ReadTraceError::SectionChecksum { kind: section::STREAM }
+        ));
+    }
+
+    #[test]
+    fn artifacts_reject_v1_files_with_versioned_error() {
+        let bytes = write_trace(&sample_trace());
+        assert_eq!(
+            read_artifacts(&bytes).unwrap_err(),
+            ReadTraceError::UnsupportedVersion { found: VERSION }
+        );
+        // Version 2, the retired whole-section container, is one more
+        // unsupported version.
+        let mut v2 = write_sample(1, 64);
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        assert_eq!(
+            read_artifacts(&v2).unwrap_err(),
+            ReadTraceError::UnsupportedVersion { found: 2 }
+        );
+        // And the bare-trace reader symmetrically rejects containers.
+        assert_eq!(
+            read_trace(&write_sample(1, 64)).unwrap_err(),
+            ReadTraceError::UnsupportedVersion { found: ARTIFACT_VERSION_CHUNKED }
+        );
+    }
+
+    #[test]
     fn chunked_artifacts_round_trip_every_section() {
         let (trace, packed, interned, streams) = sample_bundle();
         for chunk_bytes in [DEFAULT_CHUNK_BYTES, 64, 1] {
-            let bytes = write_sample_chunked(0xfeed, chunk_bytes);
+            let bytes = write_sample(0xfeed, chunk_bytes);
             let bundle = read_artifacts(&bytes).unwrap();
             assert_eq!(bundle.fingerprint, 0xfeed);
             assert_eq!(bundle.trace.as_ref(), Some(&trace));
@@ -2163,22 +1646,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_artifacts_smaller_than_v2() {
-        let v2 = write_sample(1);
-        let v3 = write_sample_chunked(1, DEFAULT_CHUNK_BYTES);
-        assert!(
-            v3.len() < v2.len(),
-            "varint+delta v3 ({} bytes) should undercut v2 ({} bytes)",
-            v3.len(),
-            v2.len()
-        );
-    }
-
-    #[test]
     fn chunked_artifacts_reject_truncation_at_every_byte_boundary() {
         // A 64-byte budget forces multi-chunk sections, so the cut loop
         // exercises chunk boundaries and mid-chunk cuts alike.
-        let bytes = write_sample_chunked(0xabcd, 64);
+        let bytes = write_sample(0xabcd, 64);
         for cut in 0..bytes.len() {
             assert!(
                 read_artifacts(&bytes[..cut]).is_err(),
@@ -2191,9 +1662,11 @@ mod tests {
 
     #[test]
     fn chunked_artifacts_detect_any_single_bit_flip_in_payloads() {
-        let bytes = write_sample_chunked(0x1234, 64);
-        // As in the v2 test: bytes below 18 are the fixed header, whose
-        // flips are covered by the dedicated header tests.
+        let bytes = write_sample(0x1234, 64);
+        // Bytes below 18 are the fixed header: magic and version flips
+        // are covered by the dedicated header tests, and a fingerprint
+        // flip legitimately decodes (staleness is the store's comparison,
+        // not the container's).
         for pos in 18..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 1 << (pos % 8);
@@ -2206,119 +1679,12 @@ mod tests {
 
     #[test]
     fn chunked_artifacts_reject_trailing_bytes() {
-        let mut bytes = write_sample_chunked(7, 64);
+        let mut bytes = write_sample(7, 64);
         bytes.push(0);
         assert!(matches!(
             read_artifacts(&bytes).unwrap_err(),
             ReadTraceError::TrailingBytes { count: 1 }
         ));
-    }
-
-    #[test]
-    fn v2_and_v3_decode_to_the_same_bundle() {
-        let v2 = read_artifacts(&write_sample(6)).unwrap();
-        let v3 = read_artifacts(&write_sample_chunked(6, 64)).unwrap();
-        assert_eq!(v2, v3);
-    }
-
-    #[test]
-    fn chunked_artifact_seekable_reads_match_whole_buffer() {
-        let dir = std::env::temp_dir().join(format!("tlabp-io-chunked-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.tlabp");
-
-        // A stream long enough to span several aligned chunks.
-        let mut long = PatternStream::new(8, true);
-        for i in 0..3 * STREAM_CHUNK_ALIGN + 123 {
-            long.push_with_lane(i % 256, i % 3 == 0, (i % 7) as u32);
-        }
-        let (trace, packed, interned, mut streams) = sample_bundle();
-        streams.push((b"long".to_vec(), long));
-        let refs: Vec<(Vec<u8>, &PatternStream)> =
-            streams.iter().map(|(k, s)| (k.clone(), s)).collect();
-        let bytes = write_artifacts_chunked(
-            0xbeef,
-            Some(&trace),
-            Some(&packed),
-            Some(&interned),
-            &refs,
-            STREAM_CHUNK_ALIGN * 4,
-        );
-        std::fs::write(&path, &bytes).unwrap();
-
-        let mut artifact = ChunkedArtifact::open(&path).unwrap();
-        assert_eq!(artifact.fingerprint(), 0xbeef);
-        let infos = artifact.stream_sections();
-        assert_eq!(infos.len(), streams.len());
-        for (key, stream) in &streams {
-            let info = artifact.find_stream(key).expect("stream section present");
-            assert_eq!(info.history_bits, stream.history_bits());
-            assert_eq!(info.laned, stream.is_laned());
-            assert_eq!(info.events, stream.len() as u64);
-            let mut events = Vec::new();
-            let mut lanes = Vec::new();
-            for chunk in 0..info.chunk_items.len() {
-                let (e, l) = artifact.read_stream_chunk(info.section, chunk).unwrap();
-                assert_eq!(e.len() as u64, info.chunk_items[chunk]);
-                events.extend_from_slice(&e);
-                lanes.extend_from_slice(&l);
-            }
-            assert_eq!(events, stream.events());
-            assert_eq!(lanes, stream.lanes());
-        }
-        let long_info = artifact.find_stream(b"long").unwrap();
-        assert!(long_info.chunk_items.len() > 1, "long stream must span multiple chunks");
-        assert!(long_info.chunk_items[..long_info.chunk_items.len() - 1]
-            .iter()
-            .all(|&n| (n as usize).is_multiple_of(STREAM_CHUNK_ALIGN)));
-
-        // A flipped payload byte surfaces on the chunk read, not open().
-        let mut corrupt_bytes = bytes.clone();
-        let last = corrupt_bytes.len() - 1;
-        corrupt_bytes[last] ^= 0x40;
-        let corrupt_path = dir.join("corrupt.tlabp");
-        std::fs::write(&corrupt_path, &corrupt_bytes).unwrap();
-        let mut corrupt = ChunkedArtifact::open(&corrupt_path).unwrap();
-        let info = corrupt.find_stream(b"long").unwrap();
-        let last_chunk = info.chunk_items.len() - 1;
-        assert!(matches!(
-            corrupt.read_stream_chunk(info.section, last_chunk).unwrap_err(),
-            ReadTraceError::SectionChecksum { kind: section::STREAM }
-        ));
-
-        // Truncating the file mid-payload surfaces as Truncated on read.
-        let cut_path = dir.join("cut.tlabp");
-        std::fs::write(&cut_path, &bytes[..bytes.len() - 10]).unwrap();
-        assert!(matches!(
-            ChunkedArtifact::open(&cut_path).unwrap_err(),
-            ReadTraceError::Truncated { .. }
-        ));
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn chunked_artifact_open_rejects_v2_and_bad_heads() {
-        let dir = std::env::temp_dir().join(format!("tlabp-io-chunkhdr-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let v2_path = dir.join("v2.tlabp");
-        std::fs::write(&v2_path, write_sample(3)).unwrap();
-        assert_eq!(
-            ChunkedArtifact::open(&v2_path).unwrap_err(),
-            ReadTraceError::UnsupportedVersion { found: ARTIFACT_VERSION }
-        );
-
-        // Flip a chunk-table byte: open() must fail the head checksum.
-        let bytes = write_sample_chunked(3, 64);
-        let mut corrupt = bytes.clone();
-        corrupt[30] ^= 0x10;
-        let bad_path = dir.join("bad.tlabp");
-        std::fs::write(&bad_path, &corrupt).unwrap();
-        assert!(matches!(
-            ChunkedArtifact::open(&bad_path).unwrap_err(),
-            ReadTraceError::SectionChecksum { .. }
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The sample bundle's forms in container order, with their tags.
@@ -2377,7 +1743,7 @@ mod tests {
 
     #[test]
     fn walk_skips_damaged_sections_and_stops_at_a_bad_head() {
-        let bytes = write_sample_chunked(4, 64);
+        let bytes = write_sample(4, 64);
         let layout = walk_artifact(&bytes).unwrap();
         let tags: Vec<SectionTag> = layout.sections.iter().map(|(t, _)| t.clone()).collect();
         assert_eq!(tags.len(), 5);
@@ -2401,9 +1767,11 @@ mod tests {
         let cut = walk_artifact(&bytes[..layout.sections[2].1.end + 3]).unwrap();
         assert_eq!(cut.sections, layout.sections[..3].to_vec());
 
+        let mut v2 = bytes.clone();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
         assert_eq!(
-            walk_artifact(&write_sample(4)).unwrap_err(),
-            ReadTraceError::UnsupportedVersion { found: ARTIFACT_VERSION }
+            walk_artifact(&v2).unwrap_err(),
+            ReadTraceError::UnsupportedVersion { found: 2 }
         );
         assert!(matches!(walk_artifact(b"TLB").unwrap_err(), ReadTraceError::BadMagic { .. }));
     }
@@ -2524,6 +1892,18 @@ mod tests {
         let bytes = write_memo(&sample_memo());
         for cut in 0..bytes.len() {
             assert!(read_memo(&bytes[..cut]).is_err(), "prefix of {cut} bytes must not decode");
+        }
+        // A section length past the end of the buffer is a truncation
+        // too, up to u64::MAX. The plan section's length field follows
+        // the 26-byte header and its kind byte.
+        for len in [u64::MAX - 8, u64::MAX - 7, u64::MAX - 1, u64::MAX, 1 << 40] {
+            let mut corrupt = bytes.clone();
+            corrupt[27..35].copy_from_slice(&len.to_le_bytes());
+            assert_eq!(
+                read_memo(&corrupt).unwrap_err(),
+                ReadTraceError::Truncated { at_event: 0 },
+                "section length {len:#x}"
+            );
         }
     }
 

@@ -5,10 +5,9 @@
 # differential/determinism suites under release optimization (the fast
 # paths the benchmarks exercise) — repeated with the scalar replay kernel body forced,
 # proving TLABP_SIMD is a throughput knob only — plus a forced-split
-# pass proving TLABP_SPLIT is a scheduling knob only — plus a
-# capped-window streaming pass proving TLABP_STREAM_BYTES is a memory
-# knob only — and one-iteration smoke runs of the throughput harness
-# (full, then the replay, scaling, service and stream sections alone), a cold
+# pass proving TLABP_SPLIT is a scheduling knob only — and
+# one-iteration smoke runs of the throughput harness (full, then the
+# replay, scaling and service sections alone), a cold
 # and a warm `experiments all` through one small-chunk trace dir whose
 # CSVs must match results/ byte for byte, an end-to-end TLBE import of the built-in demo capture, and the
 # sweep-service smoke test: a daemon is started with a persistent memo
@@ -27,18 +26,13 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-cargo test --release -q -p tlabp --test differential --test sweep_determinism --test disk_cache --test streaming
-TLABP_SIMD=scalar cargo test --release -q -p tlabp --test differential --test sweep_determinism --test streaming
+cargo test --release -q -p tlabp --test differential --test sweep_determinism --test disk_cache
+TLABP_SIMD=scalar cargo test --release -q -p tlabp --test differential --test sweep_determinism
 TLABP_SPLIT=3 cargo test --release -q -p tlabp --test differential --test sweep_determinism
-# The engine's streaming tier forced on with a small window: every
-# replay batch that finds a persisted v3 stream must walk it chunked
-# (and bit-identically), everything else falls back to hydration.
-TLABP_STREAM_BYTES=4194304 TLABP_TRACE_DIR="$(mktemp -d)" cargo test --release -q -p tlabp --test differential --test disk_cache --test streaming
 TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --out "$(mktemp -d)"
 TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --section replay --out "$(mktemp -d)"
 TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --section scaling --out "$(mktemp -d)"
 TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --section service --out "$(mktemp -d)"
-TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --section stream --out "$(mktemp -d)"
 # The disk tier end to end: a cold and then a warm `experiments all`
 # into one fresh trace dir, at the smallest chunk budget so sections span
 # several chunks and every persist splices multi-chunk sections. Every

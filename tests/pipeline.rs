@@ -113,3 +113,41 @@ fn branch_mix_is_conditional_dominated() {
         );
     }
 }
+
+/// Importing the same TLBE capture is deterministic (byte-identical
+/// artifacts), round-trips the trace exactly, and the imported interned
+/// form replays PAg(8) exactly as the reference loop simulates the
+/// original trace — the external ingestion path of `experiments import`.
+#[test]
+fn imported_captures_are_deterministic_and_replay_identically() {
+    use tlabp::core::SimdMode;
+    use tlabp::sim::runner::{derive_pattern_stream, replay_stream_key};
+    use tlabp::sim::simulate_replay_transposed;
+    use tlabp::trace::import::{import_artifacts, write_etrace};
+    use tlabp::trace::io::read_artifacts;
+    use tlabp::trace::synth::LoopNest;
+
+    let trace = LoopNest::new(&[23, 17, 5]).generate();
+    let capture = write_etrace(&trace);
+    let (fingerprint, artifact) = import_artifacts(&capture, 1 << 12).expect("capture imports");
+    let again = import_artifacts(&capture, 1 << 12).expect("capture imports");
+    assert_eq!(again, (fingerprint, artifact.clone()), "import must be deterministic");
+
+    let bundle = read_artifacts(&artifact).expect("imported artifact decodes");
+    assert_eq!(bundle.fingerprint, fingerprint);
+    assert_eq!(bundle.trace.as_ref().expect("trace section"), &trace);
+
+    let interned = bundle.interned.expect("interned section");
+    let config = SchemeConfig::pag(8);
+    let stream = derive_pattern_stream(&interned, replay_stream_key(config).expect("PAg replays"));
+    let predictors = vec![config.build_any().expect("builds")];
+    let replayed =
+        simulate_replay_transposed(&predictors, &stream, SimdMode::Auto).expect("replays");
+    let reference =
+        simulate(&mut *config.build().unwrap(), &trace, &SimConfig::no_context_switch());
+    assert_eq!(
+        (replayed[0].predictions, replayed[0].correct),
+        (reference.predictions, reference.correct),
+        "imported workload replays differently from the reference loop"
+    );
+}
