@@ -291,10 +291,8 @@ impl PackedPht {
 const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
 /// Bits 0–1 (the stored 2-bit state) of every nibble lane.
 const NIBBLE_STATE: u64 = 0x3333_3333_3333_3333;
-/// Member nibbles per transposed word — public because the engine's
-/// intra-batch split granule is one word: sub-batches never cut a width
-/// group below this many members.
-pub const LANES_PER_WORD: usize = 16;
+/// Member nibbles per transposed word.
+const LANES_PER_WORD: usize = 16;
 /// Events between accumulator flushes: each nibble of the per-column
 /// accumulator gains at most one per event and holds up to 15.
 const ACC_FLUSH_EVENTS: usize = 15;

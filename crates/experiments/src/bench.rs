@@ -1,6 +1,6 @@
 //! Throughput harness: reference baseline vs the engine's fast paths.
 //!
-//! Not a paper artifact. Six sections, each runnable alone via
+//! Not a paper artifact. Five sections, each runnable alone via
 //! `--section <name>` (mirroring the ARTIFACTS registry dispatch):
 //!
 //! **single** — the full-suite PAg(12) evaluation (the workhorse
@@ -17,10 +17,10 @@
 //! every benchmark), the shape every real experiment driver has,
 //! measured two ways:
 //!
-//! * **per-cell** — fusion disabled ([`Job::fuse`] off), so every job
+//! * **per-cell** — every job capped at [`ExecPath::PerCell`], so it
 //!   runs its own pass over the packed stream: the pre-fusion engine;
-//! * **fused** — replay disabled ([`Job::replay`] off) but fusion on, so
-//!   the plan's jobs group by trace into batched passes over the
+//! * **fused** — every job capped at [`ExecPath::Fused`], so the plan's
+//!   jobs group by trace into batched passes over the
 //!   pc-interned stream ([`tlabp_sim::runner::simulate_fused`]): the
 //!   PR 3 engine.
 //!
@@ -29,8 +29,9 @@
 //! paper-default `BHT(512,4,12)` first level, on every benchmark),
 //! measured three ways:
 //!
-//! * **fused** — replay disabled: every job re-walks the shared BHT
-//!   inside its fused batch (the PR 3 path, this section's baseline);
+//! * **fused** — capped at [`ExecPath::Fused`]: every job re-walks the
+//!   shared BHT inside its fused batch (the PR 3 path, this section's
+//!   baseline);
 //! * **replay scalar** — the transposed replay lowering forced onto the
 //!   scalar per-member kernel body
 //!   ([`tlabp_core::SimdMode::Scalar`]): one stream walk for the
@@ -46,15 +47,6 @@
 //! barrier, and as a warm disk-cache load
 //! ([`tlabp_sim::TraceStore::with_cache_dir`]). Lands in
 //! `results/BENCH_cold_start.csv`.
-//!
-//! **scaling** — one big replay batch (128 same-width members: eight
-//! transposed words per PHT row) swept over worker count 1..=host
-//! cores, with the engine's intra-batch split (`TLABP_SPLIT`, default
-//! auto) fanning the batch's member-words across the pool. Every cell's
-//! results are asserted bit-identical to the warm reference — worker
-//! count and split are throughput knobs, never results knobs. Lands in
-//! `results/BENCH_scaling.csv`; the peak aggregate rate folds into
-//! `BENCH_sweep.json`.
 //!
 //! **service** — the sweep daemon's event-driven connection core
 //! ([`tlabp_service::event`]) under 64 concurrent clients, in two
@@ -100,7 +92,7 @@ use tlabp_core::automaton::Automaton;
 use tlabp_core::config::SchemeConfig;
 use tlabp_core::SimdMode;
 use tlabp_sim::engine::{execute, execute_on, execute_with, prefetch_on, ExecOptions};
-use tlabp_sim::plan::{Job, Plan};
+use tlabp_sim::plan::{ExecPath, Job, Plan};
 use tlabp_sim::report::Table;
 use tlabp_sim::runner::SimConfig;
 use tlabp_sim::{SweepPool, TraceStore};
@@ -138,12 +130,11 @@ const CACHE_BYTES_CAP: usize = 1 << 30;
 type Section = fn(&Ctx, u32, usize) -> String;
 
 /// The registered bench sections, in run order.
-const SECTIONS: [(&str, Section); 6] = [
+const SECTIONS: [(&str, Section); 5] = [
     ("single", single_section),
     ("multi", multi_section),
     ("replay", replay_section),
     ("cold_start", cold_start_section),
-    ("scaling", scaling_section),
     ("service", service_section),
 ];
 
@@ -219,7 +210,7 @@ fn single_section(ctx: &Ctx, iterations: u32, threads: usize) -> String {
         Benchmark::ALL.iter().map(|benchmark| Job::scheme(config, benchmark)).collect();
     let reference_plan: Plan = Benchmark::ALL
         .iter()
-        .map(|benchmark| Job::scheme(config, benchmark).with_reference_path(true))
+        .map(|benchmark| Job::scheme(config, benchmark).with_path(ExecPath::Reference))
         .collect();
 
     let sequential_pool = SweepPool::new(1);
@@ -275,10 +266,10 @@ fn multi_section(ctx: &Ctx, iterations: u32, threads: usize) -> String {
     // below measures what replay buys over fusion.
     let fused_plan: Plan = Plan::suites(&configs, &SimConfig::no_context_switch())
         .into_iter()
-        .map(|job| job.with_replay(false))
+        .map(|job| job.with_path(ExecPath::Fused))
         .collect();
     let cell_plan: Plan =
-        fused_plan.jobs().iter().map(|job| job.clone().with_fusion(false)).collect();
+        fused_plan.jobs().iter().map(|job| job.clone().with_path(ExecPath::PerCell)).collect();
 
     // One throwaway execution warms the training traces and interned
     // streams and supplies the shared numerator: the predictions every
@@ -359,7 +350,7 @@ fn replay_section(ctx: &Ctx, iterations: u32, threads: usize) -> String {
         .collect();
     let replay_plan = Plan::suites(&configs, &SimConfig::no_context_switch());
     let fused_plan: Plan =
-        replay_plan.jobs().iter().map(|job| job.clone().with_replay(false)).collect();
+        replay_plan.jobs().iter().map(|job| job.clone().with_path(ExecPath::Fused)).collect();
 
     // Warm run on the replay lowering: generates traces and derives and
     // caches every pattern stream — so the timed runs below measure
@@ -533,105 +524,6 @@ fn cold_start_section(ctx: &Ctx, iterations: u32, threads: usize) -> String {
            \"cold_serial\": {{ \"seconds\": {cold_serial_secs:.6} }},\n    \
            \"prefetch\": {{ \"seconds\": {prefetch_secs:.6}, \"speedup\": {prefetch_speedup:.3} }},\n    \
            \"warm_disk\": {{ \"seconds\": {warm_disk_secs:.6}, \"speedup\": {warm_speedup:.3} }}\n  }}"
-    )
-}
-
-/// Scaling: one big replay batch swept over worker count.
-///
-/// The batch is 128 same-width members — the six automata cycled over
-/// duplicate PAg(12) jobs on the longest benchmark trace. Duplicates
-/// are legal in a plan and member outcomes are independent of batch
-/// composition, so the padding changes throughput, never results; 128
-/// members of one width make eight transposed words per PHT row, which
-/// runs the multi-column SWAR walk and gives the intra-batch split
-/// eight word-atoms to fan across the pool. Every cell's outcomes are
-/// asserted bit-identical to the warm single-threaded reference.
-fn scaling_section(ctx: &Ctx, iterations: u32, _threads: usize) -> String {
-    // The longest trace: stream-walk time dominates there, which is the
-    // configuration worth scaling.
-    let benchmark = Benchmark::ALL
-        .iter()
-        .max_by_key(|benchmark| ctx.store().get_packed(benchmark, DataSet::Testing).len())
-        .expect("the benchmark catalog is non-empty");
-    let plan: Plan = (0..128)
-        .map(|index| {
-            let automaton = Automaton::ALL[index % Automaton::ALL.len()];
-            Job::scheme(SchemeConfig::pag(12).with_automaton(automaton), benchmark)
-        })
-        .collect();
-
-    // Warm run: derives and caches the pattern stream, and supplies the
-    // reference outcomes plus the shared numerator.
-    let reference = execute(&plan, ctx.store());
-    let scaling_predictions: u64 =
-        reference.iter().filter_map(|(_, o)| o.metrics()).map(|m| m.sim.predictions).sum();
-
-    let cores = host_cores();
-    let mut table = Table::new(vec![
-        "workers".into(),
-        format!("seconds (best of {iterations})"),
-        "predictions/sec".into(),
-        "speedup vs 1 worker".into(),
-    ]);
-    let mut rows = Vec::new();
-    let mut peak: Option<(usize, f64)> = None;
-    let mut single_worker_secs = None;
-    for workers in 1..=cores {
-        let pool = SweepPool::new(workers);
-        let secs = best_of(iterations, || {
-            let results = execute_with(&pool, &plan, ctx.store(), ExecOptions::default());
-            assert_eq!(results.len(), plan.len());
-        });
-        // Bit-identity across every worker count — outside the timed
-        // region.
-        let check = execute_with(&pool, &plan, ctx.store(), ExecOptions::default());
-        for index in 0..plan.len() {
-            assert_eq!(
-                check.outcome(index),
-                reference.outcome(index),
-                "job {index} diverged at {workers} workers"
-            );
-        }
-        let eps = scaling_predictions as f64 / secs;
-        let single = *single_worker_secs.get_or_insert(secs);
-        if peak.is_none_or(|(_, best)| eps > best) {
-            peak = Some((workers, eps));
-        }
-        table.push_row(vec![
-            workers.to_string(),
-            format!("{secs:.3}"),
-            format!("{eps:.0}"),
-            format!("{:.2}", single / secs),
-        ]);
-        rows.push(format!(
-            "      {{ \"workers\": {workers}, \"seconds\": {secs:.6}, \
-             \"events_per_sec\": {eps:.1} }}"
-        ));
-    }
-    let (peak_workers, peak_eps) = peak.expect("at least one scaling cell ran");
-
-    ctx.emit_with_meta(
-        "BENCH_scaling",
-        &format!(
-            "Replay scaling: one 128-member batch on {}, workers 1..={cores} \
-             (peak {peak_eps:.0} preds/s at {peak_workers} worker(s))",
-            benchmark.name(),
-        ),
-        &host_meta(cores),
-        &table,
-    );
-
-    format!(
-        "  \"scaling\": {{\n    \
-           \"benchmark\": \"128-member PAg(12) automaton batch on {name}, no context switches\",\n    \
-           \"jobs\": {jobs},\n    \
-           \"host_cores\": {cores},\n    \
-           \"measured_predictions\": {scaling_predictions},\n    \
-           \"peak\": {{ \"workers\": {peak_workers}, \"events_per_sec\": {peak_eps:.1} }},\n    \
-           \"rows\": [\n{rows}\n    ]\n  }}",
-        name = benchmark.name(),
-        jobs = plan.len(),
-        rows = rows.join(",\n"),
     )
 }
 

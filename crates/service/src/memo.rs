@@ -283,29 +283,37 @@ impl MemoDisk {
         let mut hydrated = Vec::new();
         for (_, path) in files {
             let Ok(bytes) = std::fs::read(&path) else { continue };
-            let artifact = match read_memo(&bytes) {
-                Ok(artifact) => artifact,
-                // Another memo format version: stale, not corrupt.
-                Err(ReadTraceError::UnsupportedVersion { .. }) => continue,
+            match load_memo(&bytes) {
+                Ok(Some(entry)) => hydrated.push(entry),
+                Ok(None) => {}
                 Err(err) => {
                     eprintln!("warning: ignoring corrupt memo artifact {} ({err})", path.display());
-                    continue;
                 }
-            };
-            let Ok(plan) = Plan::from_json_str(&artifact.plan) else {
-                // A plan from another wire version: stale, not corrupt.
-                continue;
-            };
-            if plan.to_json_string() != artifact.plan
-                || plan.wire_hash() != artifact.plan_hash
-                || plan_workload_fingerprint(&plan) != artifact.fingerprint
-            {
-                continue;
             }
-            hydrated.push((artifact.plan, Arc::new(artifact.frames)));
         }
         hydrated
     }
+}
+
+/// Decodes and re-verifies one memo artifact (see [`MemoDisk::hydrate`]).
+/// `Ok(None)` is a *stale* artifact — another memo format version, a plan
+/// from another wire version, or a key, hash or workload fingerprint
+/// that no longer matches — which hydrates silently as nothing; `Err` is
+/// a corrupt one, worth a warning.
+fn load_memo(bytes: &[u8]) -> Result<Option<(String, MemoEntry)>, ReadTraceError> {
+    let artifact = match read_memo(bytes) {
+        Ok(artifact) => artifact,
+        Err(ReadTraceError::UnsupportedVersion { .. }) => return Ok(None),
+        Err(err) => return Err(err),
+    };
+    let Ok(plan) = Plan::from_json_str(&artifact.plan) else { return Ok(None) };
+    if plan.to_json_string() != artifact.plan
+        || plan.wire_hash() != artifact.plan_hash
+        || plan_workload_fingerprint(&plan) != artifact.fingerprint
+    {
+        return Ok(None);
+    }
+    Ok(Some((artifact.plan, Arc::new(artifact.frames))))
 }
 
 #[cfg(test)]
@@ -446,6 +454,33 @@ mod tests {
         assert_eq!(hydrated.len(), 1, "the good artifact hydrates, the bad one is skipped");
         assert_eq!(hydrated[0].0, key);
         assert_eq!(*hydrated[0].1, vec!["frame".to_owned()]);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hydrate_skips_a_version_one_plan_memo_silently() {
+        use tlabp_core::config::SchemeConfig;
+        use tlabp_sim::plan::Job;
+
+        let dir = std::env::temp_dir().join(format!("tlabp-memo-v1-plan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("memo dir");
+        let li = Benchmark::by_name("li").expect("li exists");
+        let plan: Plan = [Job::scheme(SchemeConfig::btfn(), li)].into_iter().collect();
+        // A memo persisted by a build speaking plan version 1: a sound
+        // artifact whose stored plan this build no longer decodes.
+        let v1_plan = plan.to_json_string().replacen("\"version\":2", "\"version\":1", 1);
+        let v1 = write_memo(&MemoArtifact {
+            plan_hash: checksum(v1_plan.as_bytes()),
+            fingerprint: plan_workload_fingerprint(&plan),
+            plan: v1_plan,
+            frames: vec!["frame".to_owned()],
+        });
+        std::fs::write(dir.join("v1.tlabm"), &v1).expect("write v1 artifact");
+
+        assert!(matches!(load_memo(&v1), Ok(None)), "stale, not corrupt: no warning");
+        assert!(MemoDisk::new(dir.clone(), None).hydrate().is_empty());
 
         let _ = std::fs::remove_dir_all(&dir);
     }

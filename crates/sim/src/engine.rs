@@ -3,7 +3,8 @@
 //!
 //! The engine is the single funnel between "describe a measurement"
 //! ([`crate::plan`]) and "numbers came out" ([`ResultSet`]). Lowering
-//! picks one execution path per job:
+//! resolves each job to one execution path: the fastest path the job
+//! admits, capped by its [`Job::path`] request:
 //!
 //! * **replay** — transposed, SWAR-vectorized second-level replay over
 //!   a materialized first-level pattern stream
@@ -19,8 +20,9 @@
 //!   variants alike never re-walk the BHT or even re-read the stream.
 //!   The kernel body is selectable ([`ExecOptions::simd`], default the
 //!   `TLABP_SIMD` environment variable). Bit-identical to every other
-//!   path and on by default; [`Job::replay`] opts a job out. Replay
-//!   models no context switches: a switching job never lowers here.
+//!   path; [`ExecPath::Auto`] is the only request that reaches it.
+//!   Replay models no context switches: a switching job never lowers
+//!   here. Each replay batch is one pool task.
 //! * **packed** — monomorphized [`AnyPredictor`] over the packed
 //!   conditional-branch stream ([`crate::runner::simulate_packed`]);
 //!   chosen for every other job. Packed-path jobs that share a trace
@@ -28,8 +30,8 @@
 //!   groups them by ([`TraceKey`], [`SimConfig`]) and runs each group
 //!   as batched single passes over the pc-interned stream
 //!   ([`crate::runner::simulate_fused`]), amortizing stream decode and
-//!   dispatch across the batch. Bit-identical to per-cell execution and
-//!   on by default; [`Job::fuse`] opts a job out. Context switches are
+//!   dispatch across the batch. Bit-identical to per-cell execution;
+//!   [`ExecPath::PerCell`] caps a job below it. Context switches are
 //!   a *schedule* on this path, not a path of their own: when they
 //!   fire depends only on the trace, so a switching job's cell (or
 //!   fused batch) derives the trace's [`switch_schedule`] from the full
@@ -41,7 +43,7 @@
 //!   schemes.
 //! * **reference** — a boxed `dyn BranchPredictor` over the full event
 //!   trace ([`crate::runner::simulate`]), bypassing every fast path.
-//!   Never chosen by lowering; jobs opt in ([`Job::reference_path`])
+//!   Never chosen by lowering; jobs request it ([`ExecPath::Reference`])
 //!   for differential testing and as the throughput harness baseline.
 //!
 //! Instrumented metrics ([`MetricSet`]) run on every path, with the
@@ -73,11 +75,9 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::OnceLock;
 
 use tlabp_core::any::AnyPredictor;
 use tlabp_core::config::SchemeConfig;
-use tlabp_core::pht::LANES_PER_WORD;
 use tlabp_core::predictor::BranchPredictor;
 use tlabp_core::registry::{self, DynBuilder};
 use tlabp_core::schemes::Pag;
@@ -88,7 +88,7 @@ use tlabp_workloads::DataSet;
 
 use crate::json::{Json, WireError};
 use crate::metrics::{BenchmarkAccuracy, FetchStats, MissBreakdown, SuiteResult};
-use crate::plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey};
+use crate::plan::{ExecPath, Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey};
 use crate::pool::SweepPool;
 use crate::runner::{
     replay_stream_key, simulate, simulate_fused, simulate_packed, simulate_replay_transposed,
@@ -454,82 +454,11 @@ pub struct ExecOptions {
     /// environment. Both bodies are bit-identical, so this is a
     /// throughput knob, never a results knob.
     pub simd: SimdMode,
-    /// Intra-batch replay parallelism: whether (and how far) one
-    /// transposed replay batch splits into sub-batches scheduled as
-    /// independent pool tasks, each walking the same cached pattern
-    /// stream over a disjoint subset of the batch's members. Defaults to
-    /// the `TLABP_SPLIT` environment variable. Member outcomes are
-    /// independent of batch composition (pinned by the batch-invariance
-    /// and determinism suites), so — like `simd` — this is a throughput
-    /// knob, never a results knob.
-    pub split: SplitPolicy,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions { prefetch: true, simd: SimdMode::from_env(), split: SplitPolicy::from_env() }
-    }
-}
-
-/// How replay batches split across pool workers (`TLABP_SPLIT`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitPolicy {
-    /// Split by the work heuristic: up to one sub-batch per pool worker,
-    /// never below one transposed word of members per sub-batch, and
-    /// never below `SPLIT_UNIT` member-events of work per sub-batch
-    /// when the batch's stream is already resident to measure.
-    #[default]
-    Auto,
-    /// Never split (the pre-split scheduler: one task per batch).
-    Off,
-    /// Split every replay batch into up to `n` sub-batches, subject only
-    /// to the one-word floor. The determinism suites force small
-    /// batches apart with this; `TLABP_SPLIT=<n>` reaches it from the
-    /// environment.
-    Parts(usize),
-}
-
-impl SplitPolicy {
-    /// Parses a `TLABP_SPLIT` value: `auto`, `off`, or a positive part
-    /// count. Returns `Err(raw value)` on anything else.
-    pub fn try_parse(value: &str) -> Result<SplitPolicy, String> {
-        let normalized = value.trim().to_ascii_lowercase();
-        match normalized.as_str() {
-            "auto" => Ok(SplitPolicy::Auto),
-            "off" => Ok(SplitPolicy::Off),
-            _ => match normalized.parse::<usize>() {
-                Ok(n) if n > 0 => Ok(SplitPolicy::Parts(n)),
-                _ => Err(value.to_owned()),
-            },
-        }
-    }
-
-    /// Parses a `TLABP_SPLIT` value, warning on stderr and falling back
-    /// to [`SplitPolicy::Auto`] when unrecognized — the same contract as
-    /// `TLABP_THREADS` and `TLABP_SIMD`.
-    #[must_use]
-    pub fn parse(value: &str) -> SplitPolicy {
-        match SplitPolicy::try_parse(value) {
-            Ok(policy) => policy,
-            Err(raw) => {
-                eprintln!(
-                    "warning: ignoring TLABP_SPLIT={raw:?} \
-                     (expected auto|off|<positive part count>); using auto"
-                );
-                SplitPolicy::Auto
-            }
-        }
-    }
-
-    /// The policy selected by the `TLABP_SPLIT` environment variable
-    /// (default [`SplitPolicy::Auto`]), read once per process.
-    #[must_use]
-    pub fn from_env() -> SplitPolicy {
-        static POLICY: OnceLock<SplitPolicy> = OnceLock::new();
-        *POLICY.get_or_init(|| match std::env::var("TLABP_SPLIT") {
-            Ok(value) => SplitPolicy::parse(&value),
-            Err(_) => SplitPolicy::Auto,
-        })
+        ExecOptions { prefetch: true, simd: SimdMode::from_env() }
     }
 }
 
@@ -717,32 +646,10 @@ impl<'p> Session<'p> {
             tasks.push((indices[0], Box::new(move || run_fused_batch(batch, &store))));
         }
         for indices in &partition.replay {
-            // The representative stream key comes from the WHOLE batch —
-            // the key phase 1 prefetched — so every sub-batch walks the
-            // same cached stream; a sub-batch recomputing its own (maybe
-            // narrower) representative would derive a stream nobody
-            // prefetched. The width fold makes replaying the wider
-            // stream bit-identical for every member either way.
-            let rep = replay_rep_key(indices.iter().map(|&index| replay_key_of(&cells, index)));
-            let trace = cells[indices[0]].as_ref().expect("replay cell").trace;
-            // Size the split by events × members when the stream is
-            // already resident (a non-forcing peek — with prefetch on,
-            // phase 1 just loaded it); an absent stream splits by the
-            // worker/word caps alone.
-            let work = self
-                .store
-                .peek_pattern_stream(trace.benchmark, trace.data_set, rep)
-                .map(|stream| stream.len() as u64 * indices.len() as u64);
-            let widths: Vec<u32> =
-                indices.iter().map(|&index| replay_key_of(&cells, index).history_bits()).collect();
-            let sub_batches =
-                split_replay_batch(indices, &widths, self.options.split, self.pool.threads(), work);
-            for sub in sub_batches {
-                let batch = claim(&sub, &mut cells);
-                let store = self.store.clone();
-                let simd = self.options.simd;
-                tasks.push((sub[0], Box::new(move || run_replay_batch(batch, &store, simd, rep))));
-            }
+            let batch = claim(indices, &mut cells);
+            let store = self.store.clone();
+            let simd = self.options.simd;
+            tasks.push((indices[0], Box::new(move || run_replay_batch(batch, &store, simd))));
         }
         tasks.sort_by_key(|(first, _)| *first);
 
@@ -977,9 +884,7 @@ fn prefetch_lowered(pool: &SweepPool, plan: &Plan, lowered: &[Lowered], store: &
             Lowered::Skip { .. } => unreachable!("partition only batches runnable cells"),
         };
         let trace = cell_at(indices[0]).trace;
-        let rep = replay_rep_key(indices.iter().map(|&index| {
-            cell_at(index).replay.expect("replay batch members carry their stream key")
-        }));
+        let rep = replay_rep_key(indices.iter().map(|&index| cell_at(index).replay_key()));
         let dedup = (trace.benchmark.name(), trace.data_set, rep);
         if stream_positions.insert(dedup, ()).is_none() {
             streams_needed.push((trace, rep));
@@ -1029,93 +934,10 @@ const MAX_FUSE_BATCH: usize = 16;
 /// one group (e.g. 5 widths × 5 automata × {PAg, PAp} = 50 members on
 /// the shared paper-default BHT) and one batch walks the stream once
 /// for the whole column. The cap bounds a same-width group at eight
-/// transposed words per PHT row, while the intra-batch split (below)
-/// hands oversized batches to idle workers a word at a time, so a wide
-/// batch no longer costs latency on a multi-core host.
+/// transposed words per PHT row. Each batch is one pool task: on the
+/// measured hosts, splitting one across workers bought nothing beyond
+/// run-to-run noise.
 const MAX_REPLAY_BATCH: usize = 128;
-
-/// Minimum replay work (stream events × batch members) per sub-batch
-/// before [`SplitPolicy::Auto`] splits further: below this the extra
-/// stream walk and task hand-off cost more than a spare worker saves.
-/// At the measured ~1.5B member-predictions/s a unit is a few
-/// milliseconds of kernel time.
-const SPLIT_UNIT: u64 = 1 << 22;
-
-/// The stream key a lowered replay cell carries.
-fn replay_key_of(cells: &[Option<Cell>], index: usize) -> StreamKey {
-    cells[index]
-        .as_ref()
-        .expect("replay cells are claimed after splitting")
-        .replay
-        .expect("replay batch members carry their stream key")
-}
-
-/// Splits one replay batch's member indices into sub-batches for
-/// intra-batch parallelism, or returns the batch whole when the policy,
-/// the pool, or the work says not to.
-///
-/// The split granule ("atom") is one transposed word: members regroup
-/// by stream width (`widths[i]` belongs to `indices[i]`) and each width
-/// group cuts into runs of at most [`LANES_PER_WORD`] members, so no
-/// sub-batch ever holds a fragment of a word that an unsplit batch
-/// would have stepped in one SWAR op. Atoms distribute contiguously and
-/// nearly evenly over the chosen part count; member indices sort inside
-/// each part so every sub-batch keeps plan order internally.
-///
-/// Determinism: the result is a pure function of the arguments, and —
-/// because a member's replay outcome is independent of its batch's
-/// composition (pinned by the batch-invariance test and the determinism
-/// suite) — the merged [`ResultSet`] is bit-identical at every part
-/// count, worker count and policy.
-fn split_replay_batch(
-    indices: &[usize],
-    widths: &[u32],
-    policy: SplitPolicy,
-    pool_threads: usize,
-    work: Option<u64>,
-) -> Vec<Vec<usize>> {
-    debug_assert_eq!(indices.len(), widths.len());
-    // Atoms: width groups in first-seen order, cut at word boundaries.
-    let mut groups: Vec<(u32, Vec<usize>)> = Vec::new();
-    for (&index, &width) in indices.iter().zip(widths) {
-        match groups.iter_mut().find(|(w, _)| *w == width) {
-            Some((_, group)) => group.push(index),
-            None => groups.push((width, vec![index])),
-        }
-    }
-    let atoms: Vec<&[usize]> =
-        groups.iter().flat_map(|(_, group)| group.chunks(LANES_PER_WORD)).collect();
-
-    let cap = atoms.len().max(1);
-    let parts = match policy {
-        SplitPolicy::Off => 1,
-        SplitPolicy::Parts(n) => n.clamp(1, cap),
-        SplitPolicy::Auto => {
-            let by_work = match work {
-                Some(work) => usize::try_from(work / SPLIT_UNIT).unwrap_or(usize::MAX).max(1),
-                // Stream not resident: let the worker/word caps decide.
-                None => cap,
-            };
-            pool_threads.min(cap).min(by_work).max(1)
-        }
-    };
-    if parts <= 1 {
-        return vec![indices.to_vec()];
-    }
-    let base = atoms.len() / parts;
-    let extra = atoms.len() % parts;
-    let mut remaining = atoms.as_slice();
-    (0..parts)
-        .map(|i| {
-            let take = base + usize::from(i < extra);
-            let (head, tail) = remaining.split_at(take);
-            remaining = tail;
-            let mut part: Vec<usize> = head.iter().flat_map(|atom| atom.iter().copied()).collect();
-            part.sort_unstable();
-            part
-        })
-        .collect()
-}
 
 /// Nearly-even batch sizes for a group of `n` cells: as few batches as
 /// `cap` allows, sizes differing by at most one (17 cells at cap 16
@@ -1162,7 +984,7 @@ struct Partition {
 /// Partitions runnable cells into [`Partition`] batches. Replay-lowered
 /// cells group by `(trace, fold class)` — the width-*erased*
 /// [`StreamKey::fold_key`] — so automaton ablations *and* width variants
-/// of one first-level mechanism share a batch; fusible cells group by
+/// of one first-level mechanism share a batch; fused cells group by
 /// `(trace, context-switch model)`, so a batch shares one switch
 /// schedule; everything else runs alone. Groups form in first-seen plan
 /// order and split into nearly-even contiguous batches, so the partition
@@ -1176,22 +998,25 @@ fn partition_batches(lowered: &[Lowered]) -> Partition {
     let mut replay: Vec<Vec<usize>> = Vec::new();
     for (index, low) in lowered.iter().enumerate() {
         let Lowered::Run(cell) = low else { continue };
-        if let Some(stream_key) = cell.replay {
-            let key = (cell.trace.benchmark.name(), cell.trace.data_set, stream_key.fold_key());
-            let group = *replay_of.entry(key).or_insert_with(|| {
-                replay.push(Vec::new());
-                replay.len() - 1
-            });
-            replay[group].push(index);
-        } else if cell.fusible() {
-            let key = (cell.trace.benchmark.name(), cell.trace.data_set, cell.sim.context_switch);
-            let group = *fused_of.entry(key).or_insert_with(|| {
-                fused.push(Vec::new());
-                fused.len() - 1
-            });
-            fused[group].push(index);
-        } else {
-            singles.push(index);
+        let (benchmark, data_set) = (cell.trace.benchmark.name(), cell.trace.data_set);
+        match cell.path {
+            ResolvedPath::Replay(stream_key) => {
+                let key = (benchmark, data_set, stream_key.fold_key());
+                let group = *replay_of.entry(key).or_insert_with(|| {
+                    replay.push(Vec::new());
+                    replay.len() - 1
+                });
+                replay[group].push(index);
+            }
+            ResolvedPath::Fused => {
+                let key = (benchmark, data_set, cell.sim.context_switch);
+                let group = *fused_of.entry(key).or_insert_with(|| {
+                    fused.push(Vec::new());
+                    fused.len() - 1
+                });
+                fused[group].push(index);
+            }
+            ResolvedPath::PerCell | ResolvedPath::Reference => singles.push(index),
         }
     }
     Partition {
@@ -1230,19 +1055,18 @@ fn run_fused_batch(batch: Vec<(usize, Cell)>, store: &TraceStore) -> Vec<(usize,
         .collect()
 }
 
-/// Runs one replay batch (or sub-batch) on a worker thread: fetch the
-/// batch's *representative* pattern stream once (`rep`, the widest
-/// member width of the whole pre-split fold group — already derived in
-/// phase 1, and shared by every sub-batch of a split) and walk every
-/// member's bit-sliced transposed PHT bank over it in a single SWAR
-/// pass ([`simulate_replay_transposed`]).
+/// Runs one replay batch on a worker thread: fetch the batch's
+/// *representative* pattern stream once (the widest member width of the
+/// fold group, already derived in phase 1) and walk every member's
+/// bit-sliced transposed PHT bank over it in a single SWAR pass
+/// ([`simulate_replay_transposed`]).
 fn run_replay_batch(
     batch: Vec<(usize, Cell)>,
     store: &TraceStore,
     simd: SimdMode,
-    rep: StreamKey,
 ) -> Vec<(usize, JobOutcome)> {
     let trace = batch[0].1.trace;
+    let rep = replay_rep_key(batch.iter().map(|(_, cell)| cell.replay_key()));
     let predictors: Vec<AnyPredictor> =
         batch.iter().map(|(_, cell)| cell.build.build_any(store, cell.trace)).collect();
     let stream = store.get_pattern_stream(trace.benchmark, trace.data_set, rep);
@@ -1287,27 +1111,29 @@ impl BuildSpec {
     }
 }
 
-/// Which simulation loop a job runs.
+/// The one execution path lowering resolved for a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecPath {
-    /// Packed (or interned) conditional stream, fused `step` loop,
-    /// context switches applied as a schedule.
-    Packed,
-    /// Boxed `dyn` predictor over the full event trace (opt-in only).
+enum ResolvedPath {
+    /// Transposed replay over the pattern stream of this first-level
+    /// key, batched by fold class.
+    Replay(StreamKey),
+    /// A fused pass over the interned stream, batched by trace and
+    /// context-switch model.
+    Fused,
+    /// A pass of its own over the packed stream (plus the instrumented
+    /// loops, when metrics are requested).
+    PerCell,
+    /// Boxed `dyn` predictor over the full event trace.
     Reference,
 }
 
 /// A lowered job: everything the worker closure needs, `Send + 'static`.
 struct Cell {
     build: BuildSpec,
-    path: ExecPath,
+    path: ResolvedPath,
     trace: TraceKey,
     sim: SimConfig,
     metrics: MetricSet,
-    fuse: bool,
-    /// `Some` when the cell lowers to pattern-stream replay: the
-    /// first-level stream key it replays over.
-    replay: Option<StreamKey>,
 }
 
 /// The derived forms of a trace, ordered by derivation depth. Producing
@@ -1329,13 +1155,12 @@ impl Cell {
         matches!(&self.build, BuildSpec::Scheme(config) if config.needs_training())
     }
 
-    /// Whether the engine may run this cell inside a fused trace pass:
-    /// the packed path (reference cells step the full trace by
-    /// definition), accuracy-only metrics (the instrumented loops
-    /// observe predictor internals per event), and the job's consent
-    /// ([`Job::fuse`]).
-    fn fusible(&self) -> bool {
-        self.fuse && self.path == ExecPath::Packed && self.metrics == MetricSet::ACCURACY
+    /// The stream key of a replay cell.
+    fn replay_key(&self) -> StreamKey {
+        match self.path {
+            ResolvedPath::Replay(key) => key,
+            _ => unreachable!("replay batches hold only replay cells"),
+        }
     }
 
     /// The cell's [`switch_schedule`], derived from the full trace the
@@ -1348,12 +1173,10 @@ impl Cell {
 
     /// The deepest trace form this cell reads.
     fn trace_form(&self) -> TraceForm {
-        if self.fusible() {
-            TraceForm::Interned
-        } else if self.path == ExecPath::Packed {
-            TraceForm::Packed
-        } else {
-            TraceForm::Full
+        match self.path {
+            ResolvedPath::Replay(_) | ResolvedPath::Fused => TraceForm::Interned,
+            ResolvedPath::PerCell => TraceForm::Packed,
+            ResolvedPath::Reference => TraceForm::Full,
         }
     }
 }
@@ -1396,36 +1219,25 @@ fn lower(job: &Job) -> Lowered {
         }
     }
 
-    let path = if job.reference_path { ExecPath::Reference } else { ExecPath::Packed };
-
-    // Pattern-stream replay: a fusion-eligible catalog scheme whose first
-    // level maps to a stream key replays the materialized stream instead
-    // of walking it. The fusion-eligibility gate keeps `with_fusion(false)`
-    // meaning "per-cell packed path" (the throughput baselines) and
-    // `with_replay(false)` meaning "fused path". Streams carry no switch
+    // The fastest path the job admits, capped by its request.
+    // Instrumented metrics observe predictor internals per event, so they
+    // run in a cell of their own; replay needs a catalog scheme whose
+    // first level maps to a stream key, and streams carry no switch
     // points, so switching jobs fuse instead.
-    let replay = match &job.spec {
-        PredictorSpec::Scheme(config)
-            if job.replay
-                && job.fuse
-                && path == ExecPath::Packed
-                && sim.context_switch.is_none()
-                && job.metrics == MetricSet::ACCURACY =>
-        {
-            replay_stream_key(*config)
-        }
-        _ => None,
+    let path = match job.path {
+        ExecPath::Reference => ResolvedPath::Reference,
+        _ if job.metrics != MetricSet::ACCURACY => ResolvedPath::PerCell,
+        ExecPath::PerCell => ResolvedPath::PerCell,
+        ExecPath::Fused => ResolvedPath::Fused,
+        ExecPath::Auto => match &job.spec {
+            PredictorSpec::Scheme(config) if sim.context_switch.is_none() => {
+                replay_stream_key(*config).map_or(ResolvedPath::Fused, ResolvedPath::Replay)
+            }
+            _ => ResolvedPath::Fused,
+        },
     };
 
-    Lowered::Run(Cell {
-        build,
-        path,
-        trace: job.trace,
-        sim,
-        metrics: job.metrics,
-        fuse: job.fuse,
-        replay,
-    })
+    Lowered::Run(Cell { build, path, trace: job.trace, sim, metrics: job.metrics })
 }
 
 /// Runs one lowered cell on a worker thread.
@@ -1436,8 +1248,9 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
     // Instrumented metrics walk the full trace through dedicated
     // observation loops, each with a fresh predictor and the cell's
     // switch schedule, on every path. Their accuracy counters equal the
-    // standard loop's, so on the packed path whichever ran also supplies
-    // the job's SimResult; the reference path always runs its own loop.
+    // standard loop's, so on the per-cell path whichever ran also
+    // supplies the job's SimResult; the reference path always runs its
+    // own loop.
     let miss_breakdown = cell
         .metrics
         .miss_breakdown
@@ -1454,14 +1267,12 @@ fn run_cell(cell: &Cell, store: &TraceStore) -> JobOutcome {
     });
 
     let sim = match (cell.path, &miss_breakdown, &fetch) {
-        (ExecPath::Reference, _, _) => {
+        (ResolvedPath::Reference, _, _) => {
             let mut boxed = cell.build.build_boxed(store, cell.trace);
             simulate(&mut *boxed, &store.get(benchmark, data_set), &cell.sim)
         }
-        (ExecPath::Packed, Some((sim, _)), _) | (ExecPath::Packed, None, Some((sim, _))) => {
-            sim.clone()
-        }
-        (ExecPath::Packed, None, None) => {
+        (_, Some((sim, _)), _) | (_, None, Some((sim, _))) => sim.clone(),
+        (_, None, None) => {
             let mut predictor = cell.build.build_any(store, cell.trace);
             simulate_packed(&mut predictor, &store.get_packed(benchmark, data_set), &switches)
         }
@@ -1622,12 +1433,13 @@ mod tests {
     }
 
     #[test]
-    fn reference_path_matches_fast_path() {
+    fn reference_and_fast_paths_agree() {
         let store = TraceStore::new();
         let fast: Plan = [Job::scheme(SchemeConfig::pag(8), li())].into_iter().collect();
-        let reference: Plan = [Job::scheme(SchemeConfig::pag(8), li()).with_reference_path(true)]
-            .into_iter()
-            .collect();
+        let reference: Plan =
+            [Job::scheme(SchemeConfig::pag(8), li()).with_path(ExecPath::Reference)]
+                .into_iter()
+                .collect();
         let fast_out = execute(&fast, &store);
         let reference_out = execute(&reference, &store);
         assert_eq!(
@@ -1679,7 +1491,7 @@ mod tests {
             .flat_map(|&b| configs.iter().map(move |&c| Job::scheme(c, b)))
             .collect();
         let per_cell: Plan =
-            fused.jobs().iter().map(|job| job.clone().with_fusion(false)).collect();
+            fused.jobs().iter().map(|job| job.clone().with_path(ExecPath::PerCell)).collect();
         let fused_out = execute(&fused, &store);
         let per_cell_out = execute(&per_cell, &store);
         for index in 0..fused.len() {
@@ -1695,7 +1507,7 @@ mod tests {
     fn mixed_plan_fuses_eligible_jobs_and_falls_back_for_the_rest() {
         // One plan holding every scheduling class at once: fusible cells,
         // a context-switch cell, an instrumented cell, a
-        // fusion-off cell and a skip. The outcomes must match the same
+        // per-cell request and a skip. The outcomes must match the same
         // jobs run as singleton per-cell plans.
         let store = TraceStore::new();
         let jobs = [
@@ -1703,14 +1515,14 @@ mod tests {
             Job::scheme(SchemeConfig::gag(10).with_context_switch(true), li()),
             Job::scheme(SchemeConfig::pag(12), li())
                 .with_metrics(MetricSet { miss_breakdown: true, fetch: None }),
-            Job::scheme(SchemeConfig::pap(6), li()).with_fusion(false),
+            Job::scheme(SchemeConfig::pap(6), li()).with_path(ExecPath::PerCell),
             Job::scheme(SchemeConfig::profiling(), Benchmark::by_name("eqntott").unwrap()),
             Job::scheme(SchemeConfig::btfn(), li()),
         ];
         let mixed: Plan = jobs.iter().cloned().collect();
         let mixed_out = execute(&mixed, &store);
         for (index, job) in jobs.iter().enumerate() {
-            let single: Plan = [job.clone().with_fusion(false)].into_iter().collect();
+            let single: Plan = [job.clone().with_path(ExecPath::PerCell)].into_iter().collect();
             let single_out = execute(&single, &store);
             assert_eq!(
                 mixed_out.outcome(index),
@@ -1742,119 +1554,50 @@ mod tests {
         }
     }
 
+    /// Lowering resolves one path per job: the fastest the job admits,
+    /// capped by its request (the DESIGN.md path table, row by row).
     #[test]
-    fn split_policy_parses_and_falls_back() {
-        assert_eq!(SplitPolicy::parse("auto"), SplitPolicy::Auto);
-        assert_eq!(SplitPolicy::parse("OFF"), SplitPolicy::Off);
-        assert_eq!(SplitPolicy::parse("4"), SplitPolicy::Parts(4));
-        assert_eq!(SplitPolicy::parse(" 2 "), SplitPolicy::Parts(2));
-        // Garbage (including a zero part count) warns and decays to auto
-        // instead of panicking — the TLABP_THREADS contract.
-        assert_eq!(SplitPolicy::parse("0"), SplitPolicy::Auto);
-        assert_eq!(SplitPolicy::parse("many"), SplitPolicy::Auto);
-        assert_eq!(SplitPolicy::try_parse("-3").unwrap_err(), "-3");
+    fn lowering_resolves_the_fastest_admitted_path_under_the_request() {
+        registry::register("engine-test-lowering", || Box::new(Gshare::new(8, Automaton::A2)));
+        let pag8 = Job::scheme(SchemeConfig::pag(8), li());
+        let stream = replay_stream_key(SchemeConfig::pag(8)).expect("PAg replays");
+        let metrics = MetricSet { miss_breakdown: true, fetch: None };
+        let switching = SimConfig::paper_context_switch();
+        let custom = Job::custom("engine-test-lowering", li());
+        let cases = [
+            (pag8.clone(), ResolvedPath::Replay(stream)),
+            (pag8.clone().with_sim(switching), ResolvedPath::Fused),
+            (Job::scheme(SchemeConfig::btfn(), li()), ResolvedPath::Fused),
+            (custom.clone(), ResolvedPath::Fused),
+            (pag8.clone().with_metrics(metrics), ResolvedPath::PerCell),
+            (pag8.clone().with_path(ExecPath::Fused), ResolvedPath::Fused),
+            (pag8.clone().with_path(ExecPath::Fused).with_metrics(metrics), ResolvedPath::PerCell),
+            (pag8.clone().with_path(ExecPath::PerCell), ResolvedPath::PerCell),
+            (custom.with_path(ExecPath::PerCell), ResolvedPath::PerCell),
+            (pag8.clone().with_path(ExecPath::Reference), ResolvedPath::Reference),
+            (pag8.with_path(ExecPath::Reference).with_metrics(metrics), ResolvedPath::Reference),
+        ];
+        for (job, expected) in cases {
+            let Lowered::Run(cell) = lower(&job) else { panic!("{job:?} runs") };
+            assert_eq!(cell.path, expected, "{job:?}");
+        }
     }
 
+    /// A replay batch is one pool task, however wide it is and however
+    /// many workers are idle.
     #[test]
-    fn split_replay_batch_respects_word_granules() {
-        // 40 same-width members = 3 atoms (16 + 16 + 8): a forced part
-        // count beyond the atom count clamps to one atom per part, and
-        // no part ever holds a fragment of a word.
-        let indices: Vec<usize> = (0..40).collect();
-        let widths = vec![12u32; 40];
-        let parts = split_replay_batch(&indices, &widths, SplitPolicy::Parts(99), 1, None);
-        assert_eq!(
-            parts.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![16, 16, 8],
-            "word-granule atoms"
-        );
-        let merged: Vec<usize> = parts.concat();
-        assert_eq!(merged, indices, "parts partition the batch in plan order");
-        // Off leaves the batch whole; so does an auto split on a
-        // one-worker pool however big the work is.
-        assert_eq!(
-            split_replay_batch(&indices, &widths, SplitPolicy::Off, 8, Some(u64::MAX)),
-            vec![indices.clone()]
-        );
-        assert_eq!(
-            split_replay_batch(&indices, &widths, SplitPolicy::Auto, 1, Some(u64::MAX)),
-            vec![indices.clone()]
-        );
-    }
-
-    #[test]
-    fn split_auto_is_bounded_by_work_workers_and_words() {
-        let indices: Vec<usize> = (0..64).collect();
-        let widths = vec![10u32; 64];
-        // Well under one SPLIT_UNIT of measured work: no split.
-        let parts = split_replay_batch(&indices, &widths, SplitPolicy::Auto, 8, Some(1000));
-        assert_eq!(parts.len(), 1);
-        // Two units of work: two parts even with eight idle workers.
-        let parts =
-            split_replay_batch(&indices, &widths, SplitPolicy::Auto, 8, Some(2 * SPLIT_UNIT));
-        assert_eq!(parts.len(), 2);
-        // Unknown stream size: the word cap (64 members = 4 atoms)
-        // bounds an eight-worker split.
-        let parts = split_replay_batch(&indices, &widths, SplitPolicy::Auto, 8, None);
-        assert_eq!(parts.len(), 4);
-        // Two workers: the pool bounds it instead.
-        let parts = split_replay_batch(&indices, &widths, SplitPolicy::Auto, 2, None);
-        assert_eq!(parts.len(), 2);
-    }
-
-    #[test]
-    fn split_groups_interleaved_widths_into_whole_words() {
-        // Alternating widths: members regroup by width before atomizing,
-        // so a 2-way split yields two half-word atoms (one per width),
-        // not sixteen fragments.
-        let indices: Vec<usize> = (0..16).collect();
-        let widths: Vec<u32> = (0..16).map(|i| if i % 2 == 0 { 4 } else { 6 }).collect();
-        let parts = split_replay_batch(&indices, &widths, SplitPolicy::Parts(2), 1, None);
-        assert_eq!(parts.len(), 2);
-        assert!(parts[0].iter().all(|&index| index % 2 == 0), "width-4 members stay together");
-        assert!(parts[1].iter().all(|&index| index % 2 == 1), "width-6 members stay together");
-    }
-
-    #[test]
-    fn forced_split_replay_matches_unsplit() {
-        // A replay grid (every scheme kind × two automata × two widths)
-        // executed unsplit, then under forced part counts on small
-        // pools: the merged result sets must be bit-identical — the
-        // scatter-merge determinism contract.
-        let store = TraceStore::new();
-        let plan: Plan = [6u32, 8]
-            .iter()
-            .flat_map(|&bits| {
-                [
-                    Job::scheme(SchemeConfig::gag(bits), li()),
-                    Job::scheme(SchemeConfig::gag(bits).with_automaton(Automaton::LastTime), li()),
-                    Job::scheme(SchemeConfig::pag(bits), li()),
-                    Job::scheme(SchemeConfig::pap(bits), li()),
-                ]
+    fn a_wide_replay_batch_is_one_pool_task() {
+        let plan: Plan = (0..MAX_REPLAY_BATCH)
+            .map(|i| {
+                let automaton = Automaton::ALL[i % Automaton::ALL.len()];
+                Job::scheme(SchemeConfig::pag(10).with_automaton(automaton), li())
             })
             .collect();
-        let pool = SweepPool::new(2);
-        let unsplit = execute_with(
-            &pool,
-            &plan,
-            &store,
-            ExecOptions { split: SplitPolicy::Off, ..ExecOptions::default() },
-        );
-        for parts in [2, 3, 16] {
-            let split = execute_with(
-                &pool,
-                &plan,
-                &store,
-                ExecOptions { split: SplitPolicy::Parts(parts), ..ExecOptions::default() },
-            );
-            for index in 0..plan.len() {
-                assert_eq!(
-                    unsplit.outcome(index),
-                    split.outcome(index),
-                    "job {index} diverged at {parts} parts"
-                );
-            }
-        }
+        let pool = SweepPool::new(4);
+        let session = Session::on(&pool, TraceStore::new());
+        let stream = session.submit(&plan);
+        assert_eq!(stream.pending.len(), 1, "one task for the whole batch");
+        assert_eq!(stream.into_result_set().len(), plan.len());
     }
 
     /// Fold-class grouping: a grid column's width × automaton variants
@@ -1886,7 +1629,7 @@ mod tests {
             let keys: Vec<StreamKey> = indices
                 .iter()
                 .map(|&index| match &lowered[index] {
-                    Lowered::Run(cell) => cell.replay.expect("replay cell"),
+                    Lowered::Run(cell) => cell.replay_key(),
                     Lowered::Skip { .. } => unreachable!(),
                 })
                 .collect();
@@ -1968,8 +1711,8 @@ mod tests {
         // the stream yields incrementally rather than after the sweep.
         let pool = SweepPool::new(2);
         let plan: Plan = [
-            Job::custom("session-test-fast", li()).with_fusion(false),
-            Job::custom("session-test-slow", li()).with_fusion(false),
+            Job::custom("session-test-fast", li()).with_path(ExecPath::PerCell),
+            Job::custom("session-test-slow", li()).with_path(ExecPath::PerCell),
         ]
         .into_iter()
         .collect();

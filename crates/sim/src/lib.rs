@@ -60,7 +60,9 @@ pub use engine::{
 };
 pub use json::{Json, WireError};
 pub use metrics::{geometric_mean, SuiteResult};
-pub use plan::{Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey, PLAN_WIRE_VERSION};
+pub use plan::{
+    ExecPath, Job, MetricSet, Plan, PredictorSpec, TargetCacheSpec, TraceKey, PLAN_WIRE_VERSION,
+};
 pub use pool::SweepPool;
 pub use runner::{
     derive_pattern_stream, replay_stream_key, simulate, simulate_fused, simulate_packed,

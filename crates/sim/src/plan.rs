@@ -41,7 +41,7 @@ use crate::runner::{ContextSwitchConfig, SimConfig};
 /// Bumped on any change to the job encoding; decoders reject documents
 /// whose version differs, the same posture the trace artifact container
 /// takes toward on-disk data.
-pub const PLAN_WIRE_VERSION: u64 = 1;
+pub const PLAN_WIRE_VERSION: u64 = 2;
 
 /// Which predictor a job simulates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,6 +146,51 @@ impl MetricSet {
     pub const ACCURACY: MetricSet = MetricSet { miss_breakdown: false, fetch: None };
 }
 
+/// The fastest execution path a [`Job`] may take.
+///
+/// The engine picks the fastest path a job admits, capped by this
+/// request: pattern-stream replay, then a fused trace pass, then a
+/// per-cell pass over the packed stream. The reference path is never
+/// picked unless requested. Every path produces bit-identical results,
+/// so this is a throughput choice: the throughput harness and the
+/// differential suites use the capped paths as baselines.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ExecPath {
+    /// Any path, fastest first: replay, fused, per-cell.
+    #[default]
+    Auto,
+    /// At most a fused pass over the interned stream (no replay).
+    Fused,
+    /// A pass of its own over the packed stream (no fusion, no replay).
+    PerCell,
+    /// A boxed `dyn` predictor over the full event trace, bypassing
+    /// every fast path.
+    Reference,
+}
+
+impl ExecPath {
+    /// Every path, in wire order.
+    pub const ALL: [ExecPath; 4] =
+        [ExecPath::Auto, ExecPath::Fused, ExecPath::PerCell, ExecPath::Reference];
+
+    /// The path's wire name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecPath::Auto => "auto",
+            ExecPath::Fused => "fused",
+            ExecPath::PerCell => "per_cell",
+            ExecPath::Reference => "reference",
+        }
+    }
+
+    /// The path with wire name `name`, if any.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<ExecPath> {
+        ExecPath::ALL.into_iter().find(|path| path.name() == name)
+    }
+}
+
 /// One unit of simulation work: predictor × trace × options × metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {
@@ -159,28 +204,10 @@ pub struct Job {
     pub sim: SimConfig,
     /// Extra instrumented metrics to compute.
     pub metrics: MetricSet,
-    /// Force the reference execution path (boxed `dyn` predictor over the
-    /// full event trace), bypassing the fast paths. Used by the
-    /// throughput harness as its baseline and by differential tests.
-    pub reference_path: bool,
-    /// Allow the engine to fuse this job with other jobs of the plan that
-    /// share its trace and context-switch model into a single pass over
-    /// the interned conditional stream (on by default; fusion never
-    /// changes results). Jobs on the reference path, or that request
-    /// instrumented metrics, are fusion-ineligible regardless. Disabling
-    /// this forces the per-cell packed path — the throughput harness uses
-    /// that as the fused mode's baseline.
-    pub fuse: bool,
-    /// Allow the engine to lower this job to the pattern-stream replay
-    /// path (on by default; replay never changes results). Replay applies
-    /// when the predictor is a catalog scheme whose first level maps to a
-    /// [`crate::runner::StreamKey`], the job simulates no context
-    /// switches and it is otherwise fusion-eligible: the engine then
-    /// materializes the first-level stream once per (trace, key) and
-    /// replays only the second level. Disabling this falls back to the
-    /// fused / packed paths — the throughput harness uses that as the
-    /// replay mode's baseline.
-    pub replay: bool,
+    /// The fastest execution path the job may take ([`ExecPath::Auto`]
+    /// by default). Paths never change results; the engine resolves this
+    /// against what the job admits (see [`crate::engine`]).
+    pub path: ExecPath,
 }
 
 impl Job {
@@ -193,9 +220,7 @@ impl Job {
             trace: TraceKey::testing(benchmark),
             sim: SimConfig::no_context_switch(),
             metrics: MetricSet::ACCURACY,
-            reference_path: false,
-            fuse: true,
-            replay: true,
+            path: ExecPath::Auto,
         }
     }
 
@@ -208,9 +233,7 @@ impl Job {
             trace: TraceKey::testing(benchmark),
             sim: SimConfig::no_context_switch(),
             metrics: MetricSet::ACCURACY,
-            reference_path: false,
-            fuse: true,
-            replay: true,
+            path: ExecPath::Auto,
         }
     }
 
@@ -228,24 +251,10 @@ impl Job {
         self
     }
 
-    /// Forces (or releases) the reference execution path.
+    /// Caps the execution path the job may take.
     #[must_use]
-    pub fn with_reference_path(mut self, reference: bool) -> Self {
-        self.reference_path = reference;
-        self
-    }
-
-    /// Permits (or forbids) fusing this job into a shared trace pass.
-    #[must_use]
-    pub fn with_fusion(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
-        self
-    }
-
-    /// Permits (or forbids) lowering this job to pattern-stream replay.
-    #[must_use]
-    pub fn with_replay(mut self, replay: bool) -> Self {
-        self.replay = replay;
+    pub fn with_path(mut self, path: ExecPath) -> Self {
+        self.path = path;
         self
     }
 
@@ -301,9 +310,7 @@ impl Job {
                     ("fetch", fetch),
                 ]),
             ),
-            ("reference_path", Json::Bool(self.reference_path)),
-            ("fuse", Json::Bool(self.fuse)),
-            ("replay", Json::Bool(self.replay)),
+            ("path", Json::Str(self.path.name().to_owned())),
         ])
     }
 
@@ -378,19 +385,16 @@ impl Job {
             fetch,
         };
 
-        let flag = |key: &str| -> Result<bool, WireError> {
-            json.field(key)?
-                .as_bool()
-                .ok_or_else(|| WireError::new(format!("{key} must be a boolean")))
-        };
+        let path_name =
+            json.field("path")?.as_str().ok_or_else(|| WireError::new("path must be a string"))?;
+        let path = ExecPath::from_name(path_name)
+            .ok_or_else(|| WireError::new(format!("unknown path {path_name:?}")))?;
         Ok(Job {
             spec,
             trace: TraceKey { benchmark, data_set },
             sim: SimConfig { context_switch },
             metrics,
-            reference_path: flag("reference_path")?,
-            fuse: flag("fuse")?,
-            replay: flag("replay")?,
+            path,
         })
     }
 }
@@ -440,7 +444,7 @@ impl Plan {
     }
 
     /// The plan as a wire-format JSON value:
-    /// `{"version":1,"jobs":[...]}` with each job encoded by
+    /// `{"version":2,"jobs":[...]}` with each job encoded by
     /// [`Job::to_json`].
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -568,8 +572,8 @@ mod tests {
         let job = Job::scheme(SchemeConfig::pag(12), benchmark)
             .with_sim(SimConfig::paper_context_switch())
             .with_metrics(MetricSet { miss_breakdown: true, fetch: None })
-            .with_reference_path(true);
-        assert!(job.reference_path);
+            .with_path(ExecPath::Reference);
+        assert_eq!(job.path, ExecPath::Reference);
         assert!(job.metrics.miss_breakdown);
         assert!(job.sim.context_switch.is_some());
 
@@ -588,9 +592,10 @@ mod tests {
                 SchemeConfig::pap(8).with_bht(tlabp_core::bht::BhtConfig::Ideal),
                 Benchmark::by_name("eqntott").unwrap(),
             )
-            .with_reference_path(true),
+            .with_path(ExecPath::Reference),
             Job::scheme(SchemeConfig::profiling(), li).with_sim(SimConfig::paper_context_switch()),
-            Job::custom("gshare(12)", li).with_fusion(false).with_replay(false),
+            Job::custom("gshare(12)", li).with_path(ExecPath::PerCell),
+            Job::scheme(SchemeConfig::pag(8), li).with_path(ExecPath::Fused),
             Job::scheme(SchemeConfig::btfn(), li).with_metrics(MetricSet {
                 miss_breakdown: true,
                 fetch: Some(TargetCacheSpec { entries: 256, ways: 2 }),
@@ -620,7 +625,7 @@ mod tests {
         let good: Plan = [Job::scheme(SchemeConfig::pag(8), li)].into_iter().collect();
         let text = good.to_json_string();
 
-        let wrong_version = text.replacen("\"version\":1", "\"version\":2", 1);
+        let wrong_version = text.replacen("\"version\":2", "\"version\":3", 1);
         let err = Plan::from_json_str(&wrong_version).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
 
@@ -630,7 +635,11 @@ mod tests {
         let bad_scheme = text.replace("PAg", "QQQ");
         assert!(Plan::from_json_str(&bad_scheme).is_err());
 
-        assert!(Plan::from_json_str("{\"version\":1}").is_err(), "missing jobs");
+        let bad_path = text.replace("\"path\":\"auto\"", "\"path\":\"fast\"");
+        let err = Plan::from_json_str(&bad_path).unwrap_err();
+        assert!(err.to_string().contains("unknown path"), "{err}");
+
+        assert!(Plan::from_json_str("{\"version\":2}").is_err(), "missing jobs");
         assert!(Plan::from_json_str("not json").is_err());
     }
 

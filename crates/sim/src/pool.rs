@@ -18,6 +18,7 @@
 //! test runs the same sweep on 1 worker and on many and asserts
 //! byte-identical results.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
@@ -55,9 +56,9 @@ impl SweepPool {
     /// The process-wide pool, started on first use. Sized to the
     /// machine's available parallelism, unless the `TLABP_THREADS`
     /// environment variable holds a positive integer — then that wins
-    /// (useful for benchmarking scaling or taming CI machines). A set
-    /// but invalid value (empty, non-numeric, zero) is ignored with a
-    /// warning on stderr.
+    /// (useful for pinning a measurement's width or taming CI machines).
+    /// A set but invalid value (empty, non-numeric, zero) is ignored with
+    /// a warning on stderr.
     #[must_use]
     pub fn global() -> &'static SweepPool {
         static GLOBAL: OnceLock<SweepPool> = OnceLock::new();
@@ -164,7 +165,10 @@ fn worker_loop(queue: &Mutex<Receiver<Job>>) {
             Err(_) => return, // a job panicked while dequeuing; shut down
         };
         match job {
-            Ok(job) => job(),
+            // A panicking job costs its own result, not the worker: the
+            // unwind drops the job's result sender, so its caller sees the
+            // missing report, and this worker takes the next job.
+            Ok(job) => drop(catch_unwind(AssertUnwindSafe(job))),
             Err(_) => return, // pool dropped; no more work will arrive
         }
     }
@@ -258,6 +262,17 @@ mod tests {
         assert_eq!(pool.run([|| 7]), vec![7]);
         release_in.send(()).expect("job waiting");
         assert_eq!(done_out.recv(), Ok(1));
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_kill_its_worker() {
+        let pool = SweepPool::new(1);
+        pool.spawn(|| panic!("deliberate test panic"));
+        // A failed run() reports the lost result; the worker survives both.
+        let lost =
+            catch_unwind(AssertUnwindSafe(|| pool.run([|| panic!("deliberate test panic")])));
+        assert!(lost.is_err(), "the caller sees the missing result");
+        assert_eq!(pool.run((0..4).map(|i| move || i * 10)), vec![0, 10, 20, 30]);
     }
 
     #[test]

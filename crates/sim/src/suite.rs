@@ -435,26 +435,6 @@ impl TraceStore {
         stream
     }
 
-    /// The already-resident pattern stream for `(benchmark, data_set,
-    /// key)`, or `None` when it has not been derived or hydrated yet — a
-    /// non-forcing peek. The engine's intra-batch split heuristic uses
-    /// this to size sub-batches by event count without ever triggering a
-    /// derivation (or even a disk hydration) on the submitting thread.
-    #[must_use]
-    pub fn peek_pattern_stream(
-        &self,
-        benchmark: &Benchmark,
-        data_set: DataSet,
-        key: StreamKey,
-    ) -> Option<Arc<PatternStream>> {
-        let slot = {
-            let cache = self.cache.read().expect("trace store lock");
-            Arc::clone(cache.get(&(benchmark.name(), data_set.into()))?)
-        };
-        let streams = slot.streams.lock().expect("stream map lock");
-        streams.get(&key).and_then(|cell| cell.get()).map(Arc::clone)
-    }
-
     /// The trace → packed derivation chain on a slot; sets `generated`
     /// when any stage actually ran (vs. was already cached or hydrated).
     fn packed_of<'s>(

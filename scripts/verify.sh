@@ -4,10 +4,9 @@
 # broken intra-doc link fails here instead of rotting), the
 # differential/determinism suites under release optimization (the fast
 # paths the benchmarks exercise) — repeated with the scalar replay kernel body forced,
-# proving TLABP_SIMD is a throughput knob only — plus a forced-split
-# pass proving TLABP_SPLIT is a scheduling knob only — and
+# proving TLABP_SIMD is a throughput knob only — and
 # one-iteration smoke runs of the throughput harness (full, then the
-# replay, scaling and service sections alone), a cold
+# replay and service sections alone), a cold
 # and a warm `experiments all` through one small-chunk trace dir whose
 # CSVs must match results/ byte for byte, an end-to-end TLBE import of the built-in demo capture, and the
 # sweep-service smoke test: a daemon is started with a persistent memo
@@ -18,8 +17,24 @@
 # (proven by the client's "memoized" report — zero simulation work) and
 # still byte-identically.
 # Run from the repository root. Requires no network access (the service
-# smoke test talks only to 127.0.0.1).
+# smoke test talks only to 127.0.0.1). Every temporary directory lives
+# under one root that the exit trap removes, with the daemon, however
+# the script ends.
 set -eux
+
+VERIFY_TMP="$(mktemp -d)"
+# Everything below that asks for a temporary directory (mktemp, the
+# test suites, the bench) gets one under the root.
+export TMPDIR="$VERIFY_TMP"
+SERVE_PID=""
+cleanup() {
+  if [ -n "$SERVE_PID" ]; then
+    kill "$SERVE_PID" 2>/dev/null || true
+  fi
+  rm -rf "$VERIFY_TMP"
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
 
 cargo build --release --workspace
 cargo test -q --workspace
@@ -28,10 +43,8 @@ cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test --release -q -p tlabp --test differential --test sweep_determinism --test disk_cache
 TLABP_SIMD=scalar cargo test --release -q -p tlabp --test differential --test sweep_determinism
-TLABP_SPLIT=3 cargo test --release -q -p tlabp --test differential --test sweep_determinism
 TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --out "$(mktemp -d)"
 TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --section replay --out "$(mktemp -d)"
-TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --section scaling --out "$(mktemp -d)"
 TLABP_BENCH_ITERS=1 cargo run -q -p tlabp-experiments --release -- bench --section service --out "$(mktemp -d)"
 # The disk tier end to end: a cold and then a warm `experiments all`
 # into one fresh trace dir, at the smallest chunk budget so sections span
@@ -62,7 +75,6 @@ cargo run -q -p tlabp-experiments --release -- plan fig5 --out "$SMOKE_DIR"
 cargo run -q -p tlabp-experiments --release -- exec "$SMOKE_DIR/fig5.plan.json" --out "$SMOKE_DIR/exec"
 cargo run -q -p tlabp-experiments --release -- serve &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
 BURST_PIDS=""
 for i in 1 2 3 4 5 6; do
   cargo run -q -p tlabp-experiments --release -- client "$SMOKE_DIR/fig5.plan.json" --out "$SMOKE_DIR/client-$i" &
@@ -90,4 +102,5 @@ cargo run -q -p tlabp-experiments --release -- client "$SMOKE_DIR/fig5.plan.json
 grep -q "memoized" "$SMOKE_DIR/client-restart.log"
 cmp "$SMOKE_DIR/exec/fig5.results.json" "$SMOKE_DIR/client-restart/fig5.results.json"
 kill "$SERVE_PID"
-trap - EXIT
+wait "$SERVE_PID" 2>/dev/null || true
+SERVE_PID=""

@@ -1,5 +1,7 @@
-//! Every on-disk decoder is total: whatever bytes it is handed, it
-//! returns a value or a typed error, never a panic.
+//! Every on-disk and wire decoder is total: whatever bytes it is
+//! handed, it returns a value or a typed error, never a panic. A wire
+//! decoder that returns a value must also re-encode it canonically: the
+//! value's own encoding decodes back to the same value.
 //!
 //! A deterministic fuzz loop: valid encodings of each format are mutated
 //! by a fixed-seed [`SmallRng`] — bit flips, byte overwrites,
@@ -11,6 +13,14 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use tlabp::core::config::SchemeConfig;
+use tlabp::service::proto::{
+    decode_frame, done_payload, encode_frame, error_payload, parse_done_payload,
+    parse_error_payload, parse_result_payload, result_payload, FrameAssembler, FrameKind,
+};
+use tlabp::sim::plan::{ExecPath, Job, MetricSet, Plan, TargetCacheSpec};
+use tlabp::sim::runner::{ContextSwitchConfig, SimConfig};
+use tlabp::sim::{JobMetrics, JobOutcome, SimResult};
 use tlabp::trace::io::{
     encode_section, read_artifacts, read_memo, read_trace, validate_section, walk_artifact,
     write_artifacts_chunked, write_memo, write_trace, ArtifactForm, MemoArtifact,
@@ -18,6 +28,7 @@ use tlabp::trace::io::{
 use tlabp::trace::rng::SmallRng;
 use tlabp::trace::synth::LoopNest;
 use tlabp::trace::{InternedConds, PatternStream, Trace};
+use tlabp::workloads::Benchmark;
 
 /// Mutants per decoder.
 const MUTANTS: usize = 10_000;
@@ -126,4 +137,121 @@ fn decoders_never_panic_on_mutated_inputs() {
         .filter(|&(_, count)| count > 0)
         .collect();
     assert!(panicked.is_empty(), "decoders panicked (of {MUTANTS} mutants each): {panicked:?}");
+}
+
+/// A plan covering every [`ExecPath`], every context-switch model (none,
+/// the paper's, a custom interval without traps) and every metric set.
+fn sample_plan() -> Plan {
+    let li = Benchmark::by_name("li").expect("li exists");
+    let switches = [
+        SimConfig::no_context_switch(),
+        SimConfig::paper_context_switch(),
+        SimConfig {
+            context_switch: Some(ContextSwitchConfig {
+                interval_instructions: 2_000,
+                on_traps: false,
+            }),
+        },
+    ];
+    let fetch = Some(TargetCacheSpec { entries: 256, ways: 2 });
+    let metrics = [
+        MetricSet::ACCURACY,
+        MetricSet { miss_breakdown: true, fetch: None },
+        MetricSet { miss_breakdown: false, fetch },
+        MetricSet { miss_breakdown: true, fetch },
+    ];
+    ExecPath::ALL
+        .iter()
+        .enumerate()
+        .map(|(i, &path)| {
+            let job = if i == 1 {
+                Job::custom("gshare(12)", li)
+            } else {
+                Job::scheme(SchemeConfig::pag(8 + i as u32), li)
+            };
+            job.with_path(path).with_sim(switches[i % switches.len()]).with_metrics(metrics[i])
+        })
+        .collect()
+}
+
+/// Decodes a plan; a decoded plan must re-encode to a canonical text
+/// that decodes back to the same plan.
+fn decode_plan(bytes: &[u8]) {
+    if let Ok(plan) = Plan::from_json_str(&String::from_utf8_lossy(bytes)) {
+        let canonical = plan.to_json_string();
+        let back = Plan::from_json_str(&canonical).expect("a decoded plan's encoding decodes");
+        assert_eq!(back, plan, "re-decoded plan differs");
+        assert_eq!(back.to_json_string(), canonical, "re-encoding is not canonical");
+    }
+}
+
+/// Reassembles a byte stream into frames (fragmented at a
+/// length-derived stride), decodes each frame and its payload, and
+/// checks that every decoded value survives its own re-encoding.
+fn decode_frames(bytes: &[u8]) {
+    let mut assembler = FrameAssembler::new(1 << 12);
+    for chunk in bytes.chunks(bytes.len() % 13 + 1) {
+        let Ok(lines) = assembler.push(chunk) else { return };
+        for line in lines {
+            let Ok((kind, payload)) = decode_frame(&line) else { continue };
+            assert_eq!(decode_frame(&encode_frame(kind, payload)), Ok((kind, payload)));
+            match kind {
+                FrameKind::Plan => decode_plan(payload.as_bytes()),
+                FrameKind::Result => {
+                    if let Ok((index, outcome)) = parse_result_payload(payload) {
+                        let again = parse_result_payload(&result_payload(index, &outcome));
+                        assert_eq!(again.ok(), Some((index, outcome)));
+                    }
+                }
+                FrameKind::Done => {
+                    if let Ok(done) = parse_done_payload(payload) {
+                        let again = parse_done_payload(&done_payload(done.jobs, done.memo));
+                        assert_eq!(again.ok(), Some(done));
+                    }
+                }
+                FrameKind::Error => {
+                    let message = parse_error_payload(payload);
+                    assert_eq!(parse_error_payload(&error_payload(&message)), message);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn wire_decoders_never_panic_and_re_encode_canonically() {
+    let plan = sample_plan().to_json_string();
+    let measured = JobOutcome::Measured(JobMetrics {
+        sim: SimResult {
+            scheme: "PAg(8, A2)".to_owned(),
+            predictions: 1_000,
+            correct: 900,
+            context_switches: 3,
+        },
+        miss_breakdown: None,
+        fetch: None,
+    });
+    let frames = [
+        encode_frame(FrameKind::Plan, &plan),
+        encode_frame(FrameKind::Result, &result_payload(0, &measured)),
+        encode_frame(
+            FrameKind::Result,
+            &result_payload(1, &JobOutcome::Skipped { reason: "no training set".to_owned() }),
+        ),
+        encode_frame(FrameKind::Done, &done_payload(2, true)),
+        encode_frame(FrameKind::Error, &error_payload("bad \"plan\"")),
+    ];
+    let stream: String = frames.iter().map(|frame| format!("{frame}\n")).collect();
+
+    let targets: [(&str, &[u8], Decoder); 2] = [
+        ("Plan::from_json_str", plan.as_bytes(), decode_plan),
+        ("FrameAssembler + decode_frame", stream.as_bytes(), decode_frames),
+    ];
+    let panicked: Vec<(&str, usize)> = targets
+        .into_iter()
+        .zip(101..)
+        .map(|((name, valid, decode), seed)| (name, panics(name, valid, seed, decode)))
+        .filter(|&(_, count)| count > 0)
+        .collect();
+    assert!(panicked.is_empty(), "decoders failed (of {MUTANTS} mutants each): {panicked:?}");
 }

@@ -185,7 +185,7 @@ fn flush_pht_pag() -> Pag {
 fn fused_flush_pht_batch_matches_the_oracle() {
     use tlabp::core::registry;
     use tlabp::sim::engine::execute;
-    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::plan::{ExecPath, Job, Plan};
     use tlabp::sim::TraceStore;
 
     let gcc = Benchmark::by_name("gcc").expect("gcc exists");
@@ -223,7 +223,8 @@ fn fused_flush_pht_batch_matches_the_oracle() {
     ];
     let store = TraceStore::from_env();
     let fused_out = execute(&jobs.iter().cloned().collect(), &store);
-    let reference: Plan = jobs.iter().map(|job| job.clone().with_reference_path(true)).collect();
+    let reference: Plan =
+        jobs.iter().map(|job| job.clone().with_path(ExecPath::Reference)).collect();
     let reference_out = execute(&reference, &store);
     assert_eq!(
         fused_out.outcomes().collect::<Vec<_>>(),
@@ -240,7 +241,7 @@ fn fused_flush_pht_batch_matches_the_oracle() {
 #[test]
 fn instrumented_metrics_honor_context_switches_on_every_path() {
     use tlabp::sim::engine::execute;
-    use tlabp::sim::plan::{Job, MetricSet, Plan, TargetCacheSpec};
+    use tlabp::sim::plan::{ExecPath, Job, MetricSet, Plan, TargetCacheSpec};
     use tlabp::sim::TraceStore;
 
     let gcc = Benchmark::by_name("gcc").expect("gcc exists");
@@ -257,7 +258,7 @@ fn instrumented_metrics_honor_context_switches_on_every_path() {
             let job = Job::scheme(SchemeConfig::pag(12), gcc)
                 .with_sim(SimConfig::paper_context_switch())
                 .with_metrics(metrics);
-            [job.clone(), job.with_reference_path(true)]
+            [job.clone(), job.with_path(ExecPath::Reference)]
         })
         .collect();
     let plan: Plan = jobs.iter().cloned().collect();
@@ -265,12 +266,12 @@ fn instrumented_metrics_honor_context_switches_on_every_path() {
     let accuracy_only = &results.outcome(0).metrics().expect("measured").sim;
     assert!(accuracy_only.context_switches > 0, "gcc has traps");
     for (index, job) in jobs.iter().enumerate() {
-        let what = format!("{:?}, reference path {}", job.metrics, job.reference_path);
+        let what = format!("{:?}, {:?} path", job.metrics, job.path);
         let metrics = results.outcome(index).metrics().expect("measured");
         assert_eq!(&metrics.sim, accuracy_only, "accuracy counters diverged for {what}");
         assert_eq!(metrics.miss_breakdown.is_some(), job.metrics.miss_breakdown, "{what}");
         assert_eq!(metrics.fetch.is_some(), job.metrics.fetch.is_some(), "{what}");
-        if job.reference_path {
+        if job.path == ExecPath::Reference {
             assert_eq!(results.outcome(index), results.outcome(index - 1), "{what}");
         }
     }
@@ -285,7 +286,7 @@ fn instrumented_metrics_honor_context_switches_on_every_path() {
 fn engine_paths_agree_for_every_lowering() {
     use tlabp::core::registry;
     use tlabp::sim::engine::execute;
-    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::plan::{ExecPath, Job, Plan};
     use tlabp::sim::TraceStore;
 
     let li = Benchmark::by_name("li").expect("li exists");
@@ -295,7 +296,7 @@ fn engine_paths_agree_for_every_lowering() {
         registry::register(&name, move || Box::new(config.build_any().expect("builds")));
         let plan: Plan = [
             Job::scheme(config, li),
-            Job::scheme(config, li).with_reference_path(true),
+            Job::scheme(config, li).with_path(ExecPath::Reference),
             Job::custom(name.clone(), li),
         ]
         .into_iter()
@@ -317,7 +318,7 @@ fn engine_paths_agree_for_every_lowering() {
 #[test]
 fn fused_per_cell_and_reference_plans_agree_job_for_job() {
     use tlabp::sim::engine::execute;
-    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::plan::{ExecPath, Job, Plan};
     use tlabp::sim::TraceStore;
 
     let li = Benchmark::by_name("li").expect("li exists");
@@ -332,8 +333,9 @@ fn fused_per_cell_and_reference_plans_agree_job_for_job() {
 
     let store = TraceStore::from_env();
     let fused: Plan = jobs.iter().cloned().collect();
-    let per_cell: Plan = jobs.iter().map(|job| job.clone().with_fusion(false)).collect();
-    let reference: Plan = jobs.iter().map(|job| job.clone().with_reference_path(true)).collect();
+    let per_cell: Plan = jobs.iter().map(|job| job.clone().with_path(ExecPath::PerCell)).collect();
+    let reference: Plan =
+        jobs.iter().map(|job| job.clone().with_path(ExecPath::Reference)).collect();
 
     let fused_out = execute(&fused, &store);
     let cell_out = execute(&per_cell, &store);
@@ -458,7 +460,7 @@ fn replay_is_bit_identical_for_every_scheme_and_automaton() {
 #[test]
 fn replay_fused_and_reference_plans_agree_job_for_job() {
     use tlabp::sim::engine::execute;
-    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::plan::{ExecPath, Job, Plan};
     use tlabp::sim::TraceStore;
 
     let li = Benchmark::by_name("li").expect("li exists");
@@ -471,8 +473,9 @@ fn replay_fused_and_reference_plans_agree_job_for_job() {
 
     let store = TraceStore::from_env();
     let replay: Plan = jobs.iter().cloned().collect();
-    let fused: Plan = jobs.iter().map(|job| job.clone().with_replay(false)).collect();
-    let reference: Plan = jobs.iter().map(|job| job.clone().with_reference_path(true)).collect();
+    let fused: Plan = jobs.iter().map(|job| job.clone().with_path(ExecPath::Fused)).collect();
+    let reference: Plan =
+        jobs.iter().map(|job| job.clone().with_path(ExecPath::Reference)).collect();
 
     let replay_out = execute(&replay, &store);
     let fused_out = execute(&fused, &store);
@@ -569,7 +572,7 @@ fn transposed_kernels_match_automaton_on_all_256_inputs() {
 fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
     use tlabp::core::SimdMode;
     use tlabp::sim::engine::{execute, execute_with, ExecOptions};
-    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::plan::{ExecPath, Job, Plan};
     use tlabp::sim::{SweepPool, TraceStore};
 
     let benchmarks =
@@ -587,7 +590,7 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
         }
     }
     let plan: Plan = jobs.iter().cloned().collect();
-    let fused: Plan = jobs.iter().map(|job| job.clone().with_replay(false)).collect();
+    let fused: Plan = jobs.iter().map(|job| job.clone().with_path(ExecPath::Fused)).collect();
 
     let store = TraceStore::from_env();
     let env = execute(&plan, &store);
@@ -620,56 +623,6 @@ fn grid_plan_is_invariant_across_replay_kernels_and_fusion() {
             fused_out.outcome(index),
             "swar vs fused diverged for {label} on {benchmark}"
         );
-    }
-}
-
-/// Intra-batch splitting is invisible for every scheme structure and
-/// automaton: a plan whose width × automaton columns fold into wide
-/// replay batches produces bit-identical outcomes whether each batch
-/// runs whole on one worker or is scattered word-by-word across the
-/// pool — under the auto split heuristic and under forced part counts
-/// far above and below the atom supply.
-#[test]
-fn split_replay_matches_unsplit_for_every_scheme_and_automaton() {
-    use tlabp::core::SimdMode;
-    use tlabp::sim::engine::{execute_with, ExecOptions, SplitPolicy};
-    use tlabp::sim::plan::{Job, Plan};
-    use tlabp::sim::{SweepPool, TraceStore};
-
-    let benchmark = Benchmark::by_name("li").expect("li exists");
-    let schemes: [fn(u32) -> SchemeConfig; 3] =
-        [SchemeConfig::gag, SchemeConfig::pag, SchemeConfig::pap];
-    let mut jobs: Vec<Job> = Vec::new();
-    for scheme in schemes {
-        for width in [6u32, 8] {
-            for automaton in Automaton::ALL {
-                jobs.push(Job::scheme(scheme(width).with_automaton(automaton), benchmark));
-            }
-        }
-    }
-    let plan: Plan = jobs.iter().cloned().collect();
-
-    let store = TraceStore::new();
-    let pool = SweepPool::new(2);
-    let run = |split| {
-        execute_with(
-            &pool,
-            &plan,
-            &store,
-            ExecOptions { simd: SimdMode::Auto, split, ..ExecOptions::default() },
-        )
-    };
-    let unsplit = run(SplitPolicy::Off);
-    for split in [SplitPolicy::Auto, SplitPolicy::Parts(2), SplitPolicy::Parts(64)] {
-        let split_out = run(split);
-        for (index, job) in jobs.iter().enumerate() {
-            assert_eq!(
-                unsplit.outcome(index),
-                split_out.outcome(index),
-                "{split:?} diverged from unsplit for {}",
-                job.label()
-            );
-        }
     }
 }
 

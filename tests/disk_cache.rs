@@ -17,7 +17,7 @@ use tlabp::core::bht::BhtSignature;
 use tlabp::core::config::SchemeConfig;
 use tlabp::core::BhtConfig;
 use tlabp::sim::engine::execute;
-use tlabp::sim::plan::{Job, Plan};
+use tlabp::sim::plan::{ExecPath, Job, Plan};
 use tlabp::sim::{StreamKey, TraceStore};
 use tlabp::trace::io::{
     artifact_header, checksum, chunk_bytes_from_env, encode_section, read_artifacts, walk_artifact,
@@ -43,7 +43,7 @@ fn plan() -> Plan {
     [
         Job::scheme(SchemeConfig::pag(8), li),
         Job::scheme(SchemeConfig::pag(8).with_bht(BhtConfig::Ideal), li),
-        Job::scheme(SchemeConfig::gag(10), li).with_replay(false),
+        Job::scheme(SchemeConfig::gag(10), li).with_path(ExecPath::Fused),
         Job::scheme(SchemeConfig::pag(8).with_context_switch(true), li),
     ]
     .into_iter()

@@ -20,7 +20,7 @@ use tlabp::core::config::SchemeConfig;
 use tlabp::core::registry;
 use tlabp::service::{Client, MemoDirMode, ServeConfig, SweepServer};
 use tlabp::sim::engine::execute;
-use tlabp::sim::plan::{Job, Plan};
+use tlabp::sim::plan::{ExecPath, Job, Plan};
 use tlabp::sim::{ExecOptions, TraceStore};
 use tlabp::workloads::Benchmark;
 
@@ -141,8 +141,9 @@ fn memoized_responses_do_no_simulation_work() {
         counter.fetch_add(1, Ordering::SeqCst);
         Box::new(tlabp::core::schemes::Btfn::new())
     });
-    let plan: Plan =
-        [Job::custom("service-test-counting", li()).with_fusion(false)].into_iter().collect();
+    let plan: Plan = [Job::custom("service-test-counting", li()).with_path(ExecPath::PerCell)]
+        .into_iter()
+        .collect();
 
     let mut client = connect(&addr);
     let (first, done) = client.execute(&plan).expect("first response");
@@ -185,8 +186,9 @@ fn restarted_daemon_replays_persisted_memo_with_zero_simulation_work() {
         counter.fetch_add(1, Ordering::SeqCst);
         Box::new(tlabp::core::schemes::Btfn::new())
     });
-    let plan: Plan =
-        [Job::custom("service-restart-counting", li()).with_fusion(false)].into_iter().collect();
+    let plan: Plan = [Job::custom("service-restart-counting", li()).with_path(ExecPath::PerCell)]
+        .into_iter()
+        .collect();
 
     let mut config = server_config(1 << 20);
     config.memo_dir = MemoDirMode::Dir(dir.clone());
@@ -246,10 +248,13 @@ fn admission_holds_pipelined_plans_to_the_in_flight_cap_in_fifo_order() {
     config.inflight = 1;
     let addr = spawn_server(config);
 
-    let gated: Plan =
-        [Job::custom("service-admission-gated", li()).with_fusion(false)].into_iter().collect();
+    let gated: Plan = [Job::custom("service-admission-gated", li()).with_path(ExecPath::PerCell)]
+        .into_iter()
+        .collect();
     let counting: Plan =
-        [Job::custom("service-admission-counting", li()).with_fusion(false)].into_iter().collect();
+        [Job::custom("service-admission-counting", li()).with_path(ExecPath::PerCell)]
+            .into_iter()
+            .collect();
 
     let mut stream = std::net::TcpStream::connect(&addr).expect("daemon reachable");
     for plan in [&gated, &counting] {
@@ -307,8 +312,8 @@ fn results_stream_incrementally_in_plan_order() {
         Box::new(tlabp::core::schemes::Btfn::new())
     });
     let plan: Plan = [
-        Job::custom("service-test-fast", li()).with_fusion(false),
-        Job::custom("service-test-slow", li()).with_fusion(false),
+        Job::custom("service-test-fast", li()).with_path(ExecPath::PerCell),
+        Job::custom("service-test-slow", li()).with_path(ExecPath::PerCell),
     ]
     .into_iter()
     .collect();
@@ -344,7 +349,7 @@ fn server_reports_errors_and_survives_them() {
         "error names the missing predictor: {err}"
     );
 
-    let skewed = unknown.to_json_string().replacen("\"version\":1", "\"version\":7", 1);
+    let skewed = unknown.to_json_string().replacen("\"version\":2", "\"version\":7", 1);
     let err = {
         use std::io::{BufRead, BufReader, Write};
         let mut stream = std::net::TcpStream::connect(&addr).expect("daemon reachable");

@@ -63,7 +63,7 @@ fn engine_results_are_identical_across_pool_sizes() {
     use tlabp::core::registry;
     use tlabp::core::BhtConfig;
     use tlabp::sim::engine::execute_on;
-    use tlabp::sim::plan::{Job, MetricSet, Plan, TargetCacheSpec};
+    use tlabp::sim::plan::{ExecPath, Job, MetricSet, Plan, TargetCacheSpec};
     use tlabp::workloads::Benchmark;
 
     registry::register("determinism-dyn-pag8", || {
@@ -81,13 +81,13 @@ fn engine_results_are_identical_across_pool_sizes() {
                 Job::scheme(SchemeConfig::pap(6), benchmark),
                 Job::custom("determinism-dyn-pag8", benchmark),
                 // Replay opt-out: same scheme job on the fused path.
-                Job::scheme(SchemeConfig::pag(8), benchmark).with_replay(false),
+                Job::scheme(SchemeConfig::pag(8), benchmark).with_path(ExecPath::Fused),
                 // Fusion-ineligible fallbacks: context switches, an
                 // explicit opt-out, the reference path, and instrumented
                 // metrics.
                 Job::scheme(SchemeConfig::gag(10).with_context_switch(true), benchmark),
-                Job::scheme(SchemeConfig::pap(6), benchmark).with_fusion(false),
-                Job::scheme(SchemeConfig::gag(10), benchmark).with_reference_path(true),
+                Job::scheme(SchemeConfig::pap(6), benchmark).with_path(ExecPath::PerCell),
+                Job::scheme(SchemeConfig::gag(10), benchmark).with_path(ExecPath::Reference),
                 Job::scheme(SchemeConfig::pag(12), benchmark)
                     .with_metrics(MetricSet { miss_breakdown: true, fetch: None }),
                 Job::scheme(SchemeConfig::pag(12), benchmark).with_metrics(MetricSet {
@@ -118,7 +118,7 @@ fn engine_results_are_identical_across_pool_sizes() {
 fn cold_store_prefetch_matches_lazy_across_pool_sizes() {
     use tlabp::core::BhtConfig;
     use tlabp::sim::engine::{execute_with, ExecOptions};
-    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::plan::{ExecPath, Job, Plan};
     use tlabp::workloads::Benchmark;
 
     // Replay-lowered, fused and context-switching jobs (whose switch
@@ -131,7 +131,7 @@ fn cold_store_prefetch_matches_lazy_across_pool_sizes() {
             [
                 Job::scheme(SchemeConfig::pag(8), benchmark),
                 Job::scheme(SchemeConfig::pag(8).with_bht(BhtConfig::Ideal), benchmark),
-                Job::scheme(SchemeConfig::gag(10), benchmark).with_replay(false),
+                Job::scheme(SchemeConfig::gag(10), benchmark).with_path(ExecPath::Fused),
                 Job::scheme(SchemeConfig::pag(8).with_context_switch(true), benchmark),
             ]
         })
@@ -163,7 +163,7 @@ fn cold_store_prefetch_matches_lazy_across_pool_sizes() {
 fn forced_simd_paths_are_bit_identical_across_pool_sizes() {
     use tlabp::core::SimdMode;
     use tlabp::sim::engine::{execute_with, ExecOptions};
-    use tlabp::sim::plan::{Job, Plan};
+    use tlabp::sim::plan::{ExecPath, Job, Plan};
     use tlabp::workloads::Benchmark;
 
     let plan: Plan = [Benchmark::by_name("li").unwrap(), Benchmark::by_name("eqntott").unwrap()]
@@ -175,7 +175,7 @@ fn forced_simd_paths_are_bit_identical_across_pool_sizes() {
                 Job::scheme(SchemeConfig::pag(8), benchmark),
                 Job::scheme(SchemeConfig::pag(12), benchmark),
                 Job::scheme(SchemeConfig::pap(8), benchmark),
-                Job::scheme(SchemeConfig::pag(12), benchmark).with_replay(false),
+                Job::scheme(SchemeConfig::pag(12), benchmark).with_path(ExecPath::Fused),
                 Job::scheme(SchemeConfig::btfn(), benchmark),
             ]
         })
@@ -202,23 +202,21 @@ fn forced_simd_paths_are_bit_identical_across_pool_sizes() {
     }
 }
 
-/// Crossing the SWAR kernel with a pool size and a forced intra-batch
-/// split must still be a scheduling/throughput change only. A wide
-/// replay batch (many members per stream) is split into word-granular
-/// sub-batches scattered across workers; the merged `ResultSet` has to
-/// stay bit-identical to the scalar, unsplit, single-worker run for
-/// every (pool, split) combination.
+/// Crossing the SWAR kernel with a pool size must still be a
+/// throughput change only. A wide replay batch (many members per
+/// stream, several transposed words) runs as one task on every pool;
+/// its `ResultSet` has to stay bit-identical to the scalar,
+/// single-worker run for every pool size.
 #[test]
-fn forced_kernel_pool_and_split_cross_is_bit_identical() {
+fn forced_kernel_and_pool_cross_is_bit_identical() {
     use tlabp::core::SimdMode;
-    use tlabp::sim::engine::{execute_with, ExecOptions, SplitPolicy};
+    use tlabp::sim::engine::{execute_with, ExecOptions};
     use tlabp::sim::plan::{Job, Plan};
     use tlabp::workloads::Benchmark;
 
     let benchmark = Benchmark::by_name("li").unwrap();
-    // 48 same-shape jobs cycling the automata: one wide replay batch
-    // (3 transposed words per width group) so every split point lands
-    // on a 16-member word boundary with room to scatter.
+    // 48 same-shape jobs cycling the automata: one wide replay batch of
+    // 3 transposed words, so the multi-column SWAR walk runs.
     let plan: Plan = (0..48)
         .map(|i| {
             Job::scheme(
@@ -234,22 +232,17 @@ fn forced_kernel_pool_and_split_cross_is_bit_identical() {
         &baseline_pool,
         &plan,
         &store,
-        ExecOptions { simd: SimdMode::Scalar, split: SplitPolicy::Off, ..ExecOptions::default() },
+        ExecOptions { simd: SimdMode::Scalar, ..ExecOptions::default() },
     );
     assert_eq!(baseline.len(), plan.len());
     for workers in [1, 2, 4] {
-        for split in [SplitPolicy::Off, SplitPolicy::Auto, SplitPolicy::Parts(3)] {
-            let pool = SweepPool::new(workers);
-            let run = execute_with(
-                &pool,
-                &plan,
-                &store,
-                ExecOptions { simd: SimdMode::Auto, split, ..ExecOptions::default() },
-            );
-            assert_eq!(
-                baseline, run,
-                "SWAR x {workers} workers x {split:?} diverged from scalar/unsplit"
-            );
-        }
+        let pool = SweepPool::new(workers);
+        let run = execute_with(
+            &pool,
+            &plan,
+            &store,
+            ExecOptions { simd: SimdMode::Auto, ..ExecOptions::default() },
+        );
+        assert_eq!(baseline, run, "SWAR x {workers} workers diverged from scalar");
     }
 }

@@ -14,7 +14,7 @@ use tlabp::core::config::SchemeConfig;
 use tlabp::service::proto::{
     decode_frame, encode_frame, parse_result_payload, result_payload, FrameError, FrameKind,
 };
-use tlabp::sim::plan::{Job, MetricSet, Plan, TargetCacheSpec};
+use tlabp::sim::plan::{ExecPath, Job, MetricSet, Plan, TargetCacheSpec};
 use tlabp::sim::runner::SimConfig;
 use tlabp::sim::JobOutcome;
 use tlabp::trace::rng::SmallRng;
@@ -67,13 +67,7 @@ fn random_job(rng: &mut SmallRng) -> Job {
             fetch: rng.random_bool(0.5).then_some(TargetCacheSpec { entries: 256, ways: 2 }),
         });
     }
-    if rng.random_bool(0.2) {
-        job = job.with_fusion(false);
-    }
-    if rng.random_bool(0.2) {
-        job = job.with_replay(false);
-    }
-    job
+    job.with_path(ExecPath::ALL[rng.next_below(ExecPath::ALL.len() as u64) as usize])
 }
 
 fn random_plan(rng: &mut SmallRng, max_jobs: u64) -> Plan {
@@ -107,7 +101,7 @@ fn canonical_encoding_separates_distinct_plans() {
         }
         let text = plan.to_json_string();
         let hash = plan.wire_hash();
-        // Perturb one job's fuse flag — the smallest possible change.
+        // Perturb one job's path — the smallest possible change.
         let victim = rng.next_below(plan.len() as u64) as usize;
         let jobs: Vec<Job> = plan
             .jobs()
@@ -116,7 +110,8 @@ fn canonical_encoding_separates_distinct_plans() {
             .map(|(i, job)| {
                 let mut job = job.clone();
                 if i == victim {
-                    job.fuse = !job.fuse;
+                    let next = ExecPath::ALL.iter().position(|&p| p == job.path).unwrap() + 1;
+                    job.path = ExecPath::ALL[next % ExecPath::ALL.len()];
                 }
                 job
             })
@@ -208,7 +203,7 @@ fn version_mismatches_are_named() {
         "envelope version skew must be identified"
     );
 
-    let payload_skew = plan.to_json_string().replacen("\"version\":1", "\"version\":2", 1);
+    let payload_skew = plan.to_json_string().replacen("\"version\":2", "\"version\":3", 1);
     let err = Plan::from_json_str(&payload_skew).expect_err("future plan version must not decode");
     assert!(err.to_string().contains("version"), "error names the version field: {err}");
 }
@@ -229,4 +224,20 @@ fn result_payloads_round_trip_through_frames() {
         assert_eq!(back_index, index);
         assert_eq!(&back, outcome);
     }
+}
+
+/// A version-1 plan, with its three path booleans in place of one
+/// `path` string, is rejected as a version mismatch, not half-decoded
+/// under today's field names.
+#[test]
+fn version_one_plans_are_rejected_by_name() {
+    let plan: Plan = [Job::scheme(SchemeConfig::pag(12), &Benchmark::ALL[0])].into_iter().collect();
+    let v1 = plan.to_json_string().replacen("\"version\":2", "\"version\":1", 1).replacen(
+        "\"path\":\"auto\"",
+        "\"reference_path\":false,\"fuse\":true,\"replay\":true",
+        1,
+    );
+    assert!(v1.contains("\"fuse\":true"), "{v1}");
+    let err = Plan::from_json_str(&v1).expect_err("a version-1 plan must not decode");
+    assert!(err.to_string().contains("unsupported plan version 1"), "{err}");
 }
